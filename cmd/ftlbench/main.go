@@ -32,16 +32,6 @@
 // deterministically-seeded device, so the tables are byte-identical to a
 // serial run — only the wall-clock changes.
 //
-// -shard-workers N additionally parallelizes *inside* each cell's warm-up
-// run: the parallel intra-run engine shards resolved flash reads across
-// per-chip workers under a conservative lookahead, with a translation
-// barrier at every mapping decision (see internal/sim). Results stay
-// byte-identical at any worker count; with -json, each experiment's
-// warm-up throughput (Mpg/s) lands in the BENCH file. The two flags
-// compose: -parallel spreads cells across cores, -shard-workers speeds
-// up the serial warm-up inside each cell — the latter helps most when
-// there are fewer runnable cells than cores (e.g. the scale ladder).
-//
 // The open-loop experiments (loadsweep, tenantmix) drive the device with
 // rate-controlled arrivals instead of the closed-loop psync model.
 // -rate fixes the total offered IOPS (0 derives a ladder / operating point
@@ -51,8 +41,9 @@
 // tenant. All arrivals are seeded, so the tables stay deterministic.
 //
 // -json additionally writes the results (per-experiment tables plus
-// wall-clock seconds, device and budget metadata) to BENCH_<timestamp>.json
-// in the current directory, for machine-readable perf trajectories.
+// wall-clock seconds, warm-up throughput in Mpg/s, device and budget
+// metadata) to BENCH_<timestamp>.json in the current directory, for
+// machine-readable perf trajectories.
 package main
 
 import (
@@ -92,7 +83,6 @@ func run() int {
 		scale    = flag.String("scale", "quick", "quick | paper | tiny")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 		parallel = flag.Bool("parallel", false, "fan experiment cells across GOMAXPROCS workers (same tables, less wall-clock)")
-		shardW   = flag.Int("shard-workers", 0, "per-chip shard workers inside each warm-up run (0/1 = inline; results stay byte-identical)")
 		jsonOut  = flag.Bool("json", false, "write results to BENCH_<timestamp>.json")
 
 		rate        = flag.Float64("rate", 0, "open-loop offered IOPS (0 = derive ladder/operating point from the device)")
@@ -201,7 +191,6 @@ func run() int {
 	if *parallel {
 		budget.Workers = learnedftl.AutoWorkers()
 	}
-	budget.ShardWorkers = *shardW
 	budget.OfferedIOPS = *rate
 	budget.Arrival = *arrival
 	budget.ReadTenantShare = *tenantShare
@@ -309,8 +298,8 @@ func run() int {
 		r := res[0]
 		fmt.Println(r.Table)
 		if r.WarmMpg > 0 {
-			fmt.Printf("(warm-up: %.2f Mpg in %.3fs = %.2f Mpg/s, %d shard workers)\n",
-				r.WarmMpg, r.WarmSeconds, r.WarmMpgPerSec, r.ShardWorkers)
+			fmt.Printf("(warm-up: %.2f Mpg in %.3fs = %.2f Mpg/s)\n",
+				r.WarmMpg, r.WarmSeconds, r.WarmMpgPerSec)
 		}
 		fmt.Printf("(%s finished in %.3fs)\n\n", r.Experiment, r.Seconds)
 		results = append(results, r)

@@ -41,14 +41,6 @@ type Budget struct {
 	// byte-identical tables; <= 1 runs serially. Use AutoWorkers() to
 	// saturate the machine.
 	Workers int `json:"workers"`
-	// ShardWorkers parallelizes the intra-run engine itself: warm-up (and
-	// any caller of sim.RunSharded) shards the event heap per chip across
-	// this many workers, with translation decisions barriered so results
-	// stay byte-identical at any value. <= 1 keeps the engine sequential.
-	// Unlike Workers — which fans independent cells out — this speeds up
-	// a SINGLE long run, e.g. a paper-scale warm-up that misses the
-	// checkpoint cache.
-	ShardWorkers int `json:"shard_workers,omitempty"`
 
 	// Open-loop knobs (loadsweep / tenantmix). OfferedIOPS fixes the
 	// total offered arrival rate in requests per virtual second; 0 derives
@@ -121,24 +113,21 @@ type Budget struct {
 
 	// warm, when set by RunExperiments, accumulates the cold warm-up cost
 	// of every cell (simulated programs over wall clock) so the BENCH
-	// trajectory tracks warm-up throughput — the number ShardWorkers
-	// optimizes. obs likewise accumulates latbreak's per-cell phase
-	// breakdowns, and fleet the fleet experiment's per-cell array-level
-	// aggregates, for the BENCH JSON.
+	// trajectory tracks warm-up throughput. obs likewise accumulates
+	// latbreak's per-cell phase breakdowns, and fleet the fleet
+	// experiment's per-cell array-level aggregates, for the BENCH JSON.
 	warm  *warmAccum
 	obs   *obsAccum
 	fleet *fleetAccum
 }
 
 // WarmStats summarizes one device warm-up: deterministic simulated cost
-// (flash programs, virtual span, host requests) over host wall clock, and
-// the intra-run shard workers used.
+// (flash programs, virtual span, host requests) over host wall clock.
 type WarmStats struct {
 	Programs int64     // flash programs simulated during warm-up
 	Requests int64     // host requests the warm-up issued
 	Span     nand.Time // virtual time the warm-up covered
 	Seconds  float64   // host wall clock
-	Workers  int       // shard workers used by the intra-run engine
 }
 
 // warmAccum sums WarmStats across an experiment's cells (cells run on the
@@ -147,7 +136,6 @@ type warmAccum struct {
 	mu       sync.Mutex
 	programs int64
 	seconds  float64
-	workers  int
 }
 
 func (a *warmAccum) add(w WarmStats) {
@@ -157,17 +145,16 @@ func (a *warmAccum) add(w WarmStats) {
 	a.mu.Lock()
 	a.programs += w.Programs
 	a.seconds += w.Seconds
-	a.workers = w.Workers
 	a.mu.Unlock()
 }
 
-func (a *warmAccum) snapshot() (programs int64, seconds float64, workers int) {
+func (a *warmAccum) snapshot() (programs int64, seconds float64) {
 	if a == nil {
-		return 0, 0, 0
+		return 0, 0
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.programs, a.seconds, a.workers
+	return a.programs, a.seconds
 }
 
 // gcPolicyList resolves the budget's policy subset, erroring on typos so a
@@ -378,24 +365,19 @@ func warmDevice(f FTL, b Budget) WarmStats {
 	start := time.Now()
 	lifeBefore := f.Flash().LifetimeCounters()
 	before := lifeBefore.TotalPrograms()
-	w := b.ShardWorkers
-	if w < 1 {
-		w = 1
-	}
 	lp := f.Config().LogicalPages()
-	r1, _ := sim.WarmedSharded(f, workload.Warmup(lp, b.WarmExtra, 128, 1), 0, w)
+	r1 := sim.Warmed(f, workload.Warmup(lp, b.WarmExtra, 128, 1), 0)
 	// Settle the mapping caches: the write warm-up leaves them full of
 	// dirty entries whose one-time write-back would otherwise dominate a
 	// short measured window (the paper's multi-minute runs amortize this).
 	settle := 2 * f.Config().CMTEntries()
-	r2, _ := sim.WarmedSharded(f, workload.FIO(workload.RandRead, lp, 1, 16, settle/16+1, 977), 0, w)
+	r2 := sim.Warmed(f, workload.FIO(workload.RandRead, lp, 1, 16, settle/16+1, 977), 0)
 	lifeAfter := f.Flash().LifetimeCounters()
 	ws := WarmStats{
 		Programs: lifeAfter.TotalPrograms() - before,
 		Requests: r1.Requests + r2.Requests,
 		Span:     r1.Makespan() + r2.Makespan(),
 		Seconds:  time.Since(start).Seconds(),
-		Workers:  w,
 	}
 	b.warm.add(ws)
 	return ws

@@ -86,10 +86,10 @@ func RunOpenLoopFleet(a *FleetArray, streams []Stream, opt OpenOptions) RunResul
 }
 
 // newWarmedFleet builds n identical warmed devices sharing one warm-up:
-// device 0 comes from newWarmed — checkpoint-cache aware, warm-up sharded
-// across Budget.ShardWorkers — and the remaining n-1 are restored from its
-// bit-exact in-memory snapshot instead of re-simulating n warm-ups. For a
-// scheme without snapshot support each clone warms independently.
+// device 0 comes from newWarmed — checkpoint-cache aware — and the
+// remaining n-1 are restored from its bit-exact in-memory snapshot instead
+// of re-simulating n warm-ups. For a scheme without snapshot support each
+// clone warms independently.
 func newWarmedFleet(s Scheme, cfg Config, b Budget, n int) ([]FTL, error) {
 	f0, err := newWarmed(s, cfg, b)
 	if err != nil {

@@ -612,49 +612,3 @@ func (f *LearnedFTL) updateTrans(tpn int, doRead bool, now nand.Time) nand.Time 
 	f.gtd.Update(tpn, np)
 	return done
 }
-
-// TryReadPages implements ftl.ShardReader. A LearnedFTL read resolves in
-// DRAM iff every page is a CMT hit, unwritten, or bitmap-guaranteed
-// model-predictable (§III-B: the bitmap makes the prediction exact, so no
-// fallback flash access is possible). Model-predicted pages emit with the
-// PredictCost lag — the same DRAM-side charge readOne applies before the
-// flash read issues. The probe mutates nothing (CMT Contains and Predict
-// are pure); the commit pass replays readOne's bookkeeping exactly.
-func (f *LearnedFTL) TryReadPages(lpn int64, n int, emit ftl.EmitRead) bool {
-	for k := 0; k < n; k++ {
-		l := lpn + int64(k)
-		if f.cmt.Contains(l) || !f.Mapped(l) {
-			continue
-		}
-		tpn := f.cfg.TPNOf(l)
-		if _, ok := f.models[tpn].Predict(int(l - int64(tpn)*int64(f.cfg.EntriesPerTP))); !ok {
-			return false
-		}
-	}
-	f.observe(n)
-	for k := 0; k < n; k++ {
-		l := lpn + int64(k)
-		f.col.CMTLookups++
-		if ppn, ok := f.cmt.Lookup(l); ok {
-			f.col.CMTHits++
-			f.col.RecordClass(stats.ReadSingle)
-			emit(ppn, 0)
-			continue
-		}
-		if !f.Mapped(l) {
-			f.col.RecordClass(stats.ReadSingle)
-			continue
-		}
-		tpn := f.cfg.TPNOf(l)
-		v, _ := f.models[tpn].Predict(int(l - int64(tpn)*int64(f.cfg.EntriesPerTP)))
-		ppn := f.fromVirtual(v)
-		if ppn != f.l2p[l] {
-			panic(fmt.Sprintf("core: model predicted %d for lpn %d but truth is %d (bitmap invariant broken)",
-				ppn, l, f.l2p[l]))
-		}
-		f.col.ModelHits++
-		f.col.RecordClass(stats.ReadSingle)
-		emit(ppn, f.opt.PredictCost)
-	}
-	return true
-}

@@ -176,30 +176,3 @@ func affectedTPNs(cfg ftl.Config, lpns []int64) []int {
 	sort.Ints(out)
 	return out
 }
-
-// TryReadPages implements ftl.ShardReader. A DFTL read resolves in DRAM
-// iff every page is a CMT hit or unwritten; the first page needing a
-// translation-page fetch aborts the probe before any state changes, so the
-// engine's barriered replay through ReadPages starts from the exact state
-// a sequential run would see.
-func (d *DFTL) TryReadPages(lpn int64, n int, emit ftl.EmitRead) bool {
-	for k := 0; k < n; k++ {
-		l := lpn + int64(k)
-		if !d.cmt.Contains(l) && d.Mapped(l) {
-			return false
-		}
-	}
-	for k := 0; k < n; k++ {
-		l := lpn + int64(k)
-		d.Col.CMTLookups++
-		if ppn, ok := d.cmt.Lookup(l); ok {
-			d.Col.CMTHits++
-			d.Col.RecordClass(stats.ReadSingle)
-			emit(ppn, 0)
-			continue
-		}
-		// Unwritten LPN: served from the zero page, no flash op.
-		d.Col.RecordClass(stats.ReadSingle)
-	}
-	return true
-}

@@ -65,9 +65,7 @@ func (b *Base) LoadBaseState(d *persist.Decoder) error {
 		Background: d.I64(),
 		PagesMoved: d.I64(),
 		Aborted:    d.I64(),
-	}
-	if d.Version() >= 3 {
-		st.Scrubbed = d.I64()
+		Scrubbed:   d.I64(),
 	}
 	b.GC.ImportStats(st)
 	return d.Err()

@@ -385,44 +385,3 @@ func (l *LeaFTL) GCFinalize(moved []int64, t nand.Time) nand.Time {
 	}
 	return t
 }
-
-// TryReadPages implements ftl.ShardReader. A LeaFTL read resolves in DRAM
-// iff every page is a buffer hit, unwritten, or covered by a cached model
-// whose prediction is exact (a mispredict chains two serialized flash
-// reads through the engine's returned time, so it barriers). The probe
-// uses the cache's recency-neutral peek; the commit pass replays the
-// sequential path's Contains promotions and counters exactly.
-func (l *LeaFTL) TryReadPages(lpn int64, n int, emit ftl.EmitRead) bool {
-	for k := 0; k < n; k++ {
-		ll := lpn + int64(k)
-		if _, ok := l.buffer[ll]; ok {
-			continue
-		}
-		if !l.Mapped(ll) {
-			continue
-		}
-		tpn := l.Cfg.TPNOf(ll)
-		if !l.cache.peek(tpn) || l.predict(tpn, ll) != l.L2P[ll] {
-			return false
-		}
-	}
-	for k := 0; k < n; k++ {
-		ll := lpn + int64(k)
-		l.Col.CMTLookups++
-		if _, ok := l.buffer[ll]; ok {
-			l.Col.CMTHits++
-			l.Col.RecordClass(stats.ReadSingle)
-			continue
-		}
-		if !l.Mapped(ll) {
-			l.Col.RecordClass(stats.ReadSingle)
-			continue
-		}
-		l.cache.Contains(l.Cfg.TPNOf(ll)) // promote, as readOne does
-		l.Col.CMTHits++
-		l.Col.ModelHits++
-		l.Col.RecordClass(stats.ReadSingle)
-		emit(l.L2P[ll], 0)
-	}
-	return true
-}

@@ -152,10 +152,3 @@ func (c *modelCache) Len() int { return c.size }
 
 // Used returns the bytes currently charged.
 func (c *modelCache) Used() int { return c.used }
-
-// peek reports presence without touching recency — the pure probe the
-// shard-read resolvability pass needs (Contains promotes).
-func (c *modelCache) peek(tpn int) bool {
-	_, ok := c.idx[tpn]
-	return ok
-}

@@ -213,9 +213,8 @@ func (b Breakdown) TailCause() (Phase, float64) {
 
 // Tracer accumulates request spans. It is single-threaded by design, like
 // the simulation engines that drive it: at most one span is open at a time
-// (the engines issue requests strictly sequentially), and the parallel
-// intra-run engine records its shard-resolved reads as already-complete
-// spans at resolution, so the tracer never sees concurrency.
+// (the engines issue requests strictly sequentially), so the tracer never
+// sees concurrency.
 //
 // A Tracer also implements nand.OpObserver: attached to the flash array it
 // receives every flash operation, which feeds the trace exporter, the
@@ -298,19 +297,6 @@ func (t *Tracer) EndReq(done nand.Time) {
 	if t.reg != nil {
 		t.reg.Tick(done)
 	}
-}
-
-// RecordResolved records a read the parallel engine served entirely from
-// DRAM translation state: service is its device time, lookup the DRAM-side
-// translation compute. The resulting span is identical to what the
-// sequential engine's Begin/AddPhase/End sequence produces for the same
-// read, which is what keeps span aggregates engine-independent.
-func (t *Tracer) RecordResolved(service, lookup nand.Time) {
-	var s SpanRecord
-	if lookup > 0 {
-		s.Phases[PhaseLookup] = lookup
-	}
-	t.finish(s, service)
 }
 
 // finish folds one completed span into the aggregates.
@@ -436,14 +422,6 @@ func (t *Tracer) ExitGC(done nand.Time) {
 // InGC reports whether a GC window is open (per-op attribution inside a
 // window is suppressed: the window itself carries the time).
 func (t *Tracer) InGC() bool { return t.gcDepth > 0 }
-
-// Barrier marks a translation barrier of the parallel intra-run engine on
-// the barrier track.
-func (t *Tracer) Barrier(now nand.Time) {
-	if t.trace != nil {
-		t.trace.add(now, 0, trackBarrier, evBarrier)
-	}
-}
 
 // ObserveOp implements nand.OpObserver: every flash operation feeds the
 // chip tracks of the trace, the per-span translation / retry / scrub-wait

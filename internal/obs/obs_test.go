@@ -131,24 +131,6 @@ func TestGCNesting(t *testing.T) {
 	}
 }
 
-// RecordResolved (the parallel engine's fast path) must fold to the same
-// aggregates as the sequential Begin/AddPhase/End sequence.
-func TestRecordResolvedEquivalence(t *testing.T) {
-	seq := NewTracer()
-	seq.BeginReq(false, 1000, 0)
-	seq.AddPhase(PhaseLookup, 30)
-	seq.EndReq(1000 + 40030)
-
-	par := NewTracer()
-	par.RecordResolved(40030, 30)
-
-	bs, bp := seq.Breakdown(), par.Breakdown()
-	if bs.TotalSum != bp.TotalSum || bs.PhaseSum != bp.PhaseSum ||
-		bs.Reads != bp.Reads || bs.Writes != bp.Writes {
-		t.Fatalf("sequential %+v != resolved %+v", bs, bp)
-	}
-}
-
 // The tail set must be the exact top ceil(0.1%) spans by total latency.
 func TestBreakdownTail(t *testing.T) {
 	tr := NewTracer()
@@ -289,7 +271,6 @@ func TestTraceJSONTracks(t *testing.T) {
 		Chip: 2, After: 0, Start: 0, Done: 200000})
 	tr.EnterGC(false, 200000)
 	tr.ExitGC(400000)
-	tr.Barrier(500000)
 	var buf bytes.Buffer
 	if err := tr.Trace().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -309,12 +290,12 @@ func TestTraceJSONTracks(t *testing.T) {
 		}
 		names[ev["name"].(string)] = true
 	}
-	for _, want := range []string{"program", "gc", "barrier"} {
+	for _, want := range []string{"program", "gc"} {
 		if !names[want] {
 			t.Fatalf("missing %q event in %v", want, names)
 		}
 	}
-	if meta != 3 { // chip 2, gc track, barrier track
-		t.Fatalf("thread-name metadata events = %d, want 3", meta)
+	if meta != 2 { // chip 2, gc track
+		t.Fatalf("thread-name metadata events = %d, want 2", meta)
 	}
 }

@@ -9,9 +9,8 @@ import (
 
 // Virtual track ids for non-chip tracks. Chip tracks use the chip index.
 const (
-	trackGC      = 10000
-	trackScrub   = 10001
-	trackBarrier = 10002
+	trackGC    = 10000
+	trackScrub = 10001
 )
 
 // Event kinds, mapped to names and phase types at export time.
@@ -25,7 +24,6 @@ const (
 	evMountOp
 	evGC
 	evScrub
-	evBarrier
 	numEvKinds
 )
 
@@ -33,7 +31,7 @@ var evNames = [numEvKinds]string{
 	"read", "program", "erase",
 	"trans-read", "trans-program",
 	"gc-op", "mount-op",
-	"gc", "scrub", "barrier",
+	"gc", "scrub",
 }
 
 // opEventKind maps a flash op to its trace event kind.
@@ -114,8 +112,6 @@ func trackName(track int32) string {
 		return "gc"
 	case trackScrub:
 		return "scrub"
-	case trackBarrier:
-		return "barrier"
 	}
 	return fmt.Sprintf("chip %d", track)
 }
@@ -152,11 +148,6 @@ func (t *Trace) WriteJSON(w io.Writer) error {
 		}
 		first = false
 		ts := float64(ev.ts) / 1e3 // virtual ns -> trace µs
-		if ev.kind == evBarrier {
-			bw.printf(`{"ph":"i","s":"t","name":%q,"pid":1,"tid":%d,"ts":%g}`,
-				evNames[ev.kind], ev.track, ts)
-			continue
-		}
 		bw.printf(`{"ph":"X","name":%q,"pid":1,"tid":%d,"ts":%g,"dur":%g}`,
 			evNames[ev.kind], ev.track, ts, float64(ev.dur)/1e3)
 	}

@@ -81,20 +81,10 @@ type Decoder struct {
 	buf []byte
 	off int
 	err error
-	// ver is the snapshot format version the stream was written under.
-	// NewDecoder assumes the current Version; Restore overrides it from the
-	// snapshot header so version-aware sections (LoadFlash) can decode
-	// legacy streams.
-	ver uint64
 }
 
-// NewDecoder returns a decoder over data, assuming the current format
-// version.
-func NewDecoder(data []byte) *Decoder { return &Decoder{buf: data, ver: Version} }
-
-// Version returns the format version the decoder's stream was written
-// under.
-func (d *Decoder) Version() uint64 { return d.ver }
+// NewDecoder returns a decoder over data.
+func NewDecoder(data []byte) *Decoder { return &Decoder{buf: data} }
 
 // err1 latches the sticky error with the failing read's context.
 func (d *Decoder) err1(context string) {

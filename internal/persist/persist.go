@@ -27,24 +27,15 @@ import (
 )
 
 // Version is the snapshot format version; bump on any encoding change.
-// Snapshot always writes the current version; Restore additionally keeps a
-// decoder for the immediately preceding one, so checkpoint caches written
-// before a bump either load exactly (when the old format is still
-// decodable, as v1's struct-layout flash section is) or fail cleanly and
-// fall back to a cold warm-up.
+// Snapshot writes it and Restore accepts only it: a snapshot of any other
+// version fails cleanly, and a checkpoint cache treats it as a miss and
+// falls back to a cold warm-up that overwrites the entry.
 //
-// Version 2 packed the flash section: page states as two bitmaps
-// (programmed, valid) and the OOB as tagged keys, matching the in-memory
-// packed layout.
-//
-// Version 3 appended the reliability state to the flash section: per-block
+// Version 3 is the packed flash section (page states as two bitmaps, the
+// OOB as tagged keys) followed by the reliability state: per-block
 // read-disturb counters, grown bad-block flags and the reliability event
-// tallies. Version-1/2 streams load with that state zeroed — exactly a
-// device that never ran with a fault model.
+// tallies.
 const Version = 3
-
-// oldestDecodableVersion is the lowest snapshot version Restore accepts.
-const oldestDecodableVersion = 1
 
 // magic leads every snapshot.
 const magic = "LFTLSNAP"
@@ -101,11 +92,9 @@ func Restore(dev Device, fingerprint string, data []byte) error {
 	if m := d.Str(); m != magic {
 		return fmt.Errorf("persist: bad snapshot magic %q", m)
 	}
-	v := d.U64()
-	if v < oldestDecodableVersion || v > Version {
-		return fmt.Errorf("persist: snapshot version %d, want %d..%d", v, oldestDecodableVersion, Version)
+	if v := d.U64(); v != Version {
+		return fmt.Errorf("persist: snapshot version %d, want %d", v, Version)
 	}
-	d.ver = v
 	if n := d.Str(); n != dev.Name() {
 		return fmt.Errorf("persist: snapshot of scheme %q restored into %q", n, dev.Name())
 	}
@@ -127,9 +116,9 @@ func Restore(dev Device, fingerprint string, data []byte) error {
 	return nil
 }
 
-// SaveFlash appends the flash array's exported state in the packed version-2
-// form: programmed/valid bitmaps as fixed-width words and the OOB as one
-// tagged varint key per page.
+// SaveFlash appends the flash array's exported state in packed form:
+// programmed/valid bitmaps as fixed-width words, the OOB as one tagged
+// varint key per page, then block, chip, counter and reliability state.
 func SaveFlash(e *Encoder, fl *nand.Flash) {
 	s := fl.ExportState()
 	e.Words(s.Programmed)
@@ -149,8 +138,7 @@ func SaveFlash(e *Encoder, fl *nand.Flash) {
 	}
 	saveCounters(e, s.Counters)
 	saveCounters(e, s.Lifetime)
-	// Version 3: reliability state. Reads and Bad share one length (both
-	// per-block).
+	// Reliability state. Reads and Bad share one length (both per-block).
 	e.U64(uint64(len(s.Reads)))
 	for _, r := range s.Reads {
 		e.I64(r)
@@ -181,22 +169,14 @@ func loadRelCounters(d *Decoder) nand.RelCounters {
 	}
 }
 
-// LoadFlash restores a SaveFlash section into fl (same geometry),
-// dispatching on the decoder's format version: version 2 streams carry the
-// packed bitmaps directly; version-1 streams carry the historical
-// byte-per-state + struct-OOB layout, which decodes into the same packed
-// state bit for bit.
+// LoadFlash restores a SaveFlash section into fl (same geometry).
 func LoadFlash(d *Decoder, fl *nand.Flash) error {
 	var s nand.FlashState
-	if d.Version() >= 2 {
-		s.Programmed = d.Words()
-		s.Valid = d.Words()
-		s.Keys = make([]int64, d.U64())
-		for i := range s.Keys {
-			s.Keys[i] = d.I64()
-		}
-	} else {
-		loadFlashV1Pages(d, &s)
+	s.Programmed = d.Words()
+	s.Valid = d.Words()
+	s.Keys = make([]int64, d.U64())
+	for i := range s.Keys {
+		s.Keys[i] = d.I64()
 	}
 	nb := d.U64()
 	s.Erases = make([]int64, nb)
@@ -211,55 +191,19 @@ func LoadFlash(d *Decoder, fl *nand.Flash) error {
 	}
 	s.Counters = loadCounters(d)
 	s.Lifetime = loadCounters(d)
-	if d.Version() >= 3 {
-		s.Reads = make([]int64, d.U64())
-		for i := range s.Reads {
-			s.Reads[i] = d.I64()
-		}
-		s.Bad = make([]bool, len(s.Reads))
-		for i := range s.Bad {
-			s.Bad[i] = d.Bool()
-		}
-		s.Rel = loadRelCounters(d)
+	s.Reads = make([]int64, d.U64())
+	for i := range s.Reads {
+		s.Reads[i] = d.I64()
 	}
+	s.Bad = make([]bool, len(s.Reads))
+	for i := range s.Bad {
+		s.Bad[i] = d.Bool()
+	}
+	s.Rel = loadRelCounters(d)
 	if err := d.Err(); err != nil {
 		return err
 	}
 	return fl.ImportState(s)
-}
-
-// loadFlashV1Pages decodes the version-1 page section — one state byte per
-// page followed by (key, trans) OOB pairs — into the packed representation.
-func loadFlashV1Pages(d *Decoder, s *nand.FlashState) {
-	raw := d.Blob()
-	words := (len(raw) + 63) / 64
-	s.Programmed = make([]uint64, words)
-	s.Valid = make([]uint64, words)
-	for i, b := range raw {
-		w, m := i>>6, uint64(1)<<(uint(i)&63)
-		switch nand.PageState(b) {
-		case nand.PageValid:
-			s.Programmed[w] |= m
-			s.Valid[w] |= m
-		case nand.PageInvalid:
-			s.Programmed[w] |= m
-		}
-	}
-	n := d.U64()
-	if d.Err() == nil && n != uint64(len(raw)) {
-		d.err1("v1 OOB count")
-		return
-	}
-	s.Keys = make([]int64, n)
-	for i := range s.Keys {
-		key := d.I64()
-		trans := d.Bool()
-		k := key << 1
-		if trans {
-			k |= 1
-		}
-		s.Keys[i] = k
-	}
 }
 
 func saveCounters(e *Encoder, c nand.OpCounters) {

@@ -187,155 +187,8 @@ func TestScanOOBRebuildsMappingsAndChargesReads(t *testing.T) {
 	}
 }
 
-// saveFlashV1 writes the retired version-1 flash page section (one state
-// byte per page, then (key, trans) OOB struct pairs) so the compat decoder
-// can be pinned against the real legacy format.
-func saveFlashV1(e *Encoder, fl *nand.Flash) {
-	pages := fl.Geometry().TotalPages()
-	states := make([]byte, pages)
-	for p := 0; p < pages; p++ {
-		states[p] = byte(fl.State(nand.PPN(p)))
-	}
-	e.Blob(states)
-	e.U64(uint64(pages))
-	for p := 0; p < pages; p++ {
-		oob := fl.PageOOB(nand.PPN(p))
-		e.I64(oob.Key)
-		e.Bool(oob.Trans)
-	}
-	s := fl.ExportState()
-	e.U64(uint64(len(s.Erases)))
-	for i := range s.Erases {
-		e.I64(s.Erases[i])
-		e.I64(int64(s.LastMod[i]))
-	}
-	e.U64(uint64(len(s.ChipBusy)))
-	for _, t := range s.ChipBusy {
-		e.I64(int64(t))
-	}
-	saveCounters(e, s.Counters)
-	saveCounters(e, s.Lifetime)
-}
-
-// TestLoadFlashDecodesVersion1 pins the legacy decoder: a version-1 flash
-// section (struct layout) must restore into exactly the same packed state a
-// version-2 section produces, so checkpoint caches written before the
-// format bump keep loading bit-for-bit.
-func TestLoadFlashDecodesVersion1(t *testing.T) {
-	g := nand.Geometry{Channels: 2, Ways: 1, Planes: 1, BlocksPerUnit: 2, PagesPerBlock: 4, PageSize: 4096}
-	fl := mustFlash(g)
-	var now nand.Time
-	for i, oob := range []nand.OOB{{Key: 11}, {Key: 22, Trans: true}, {Key: 33}} {
-		done, err := fl.Program(nand.PPN(i), oob, now, nand.OpHostData)
-		if err != nil {
-			t.Fatal(err)
-		}
-		now = done
-	}
-	if err := fl.Invalidate(0); err != nil {
-		t.Fatal(err)
-	}
-
-	e := NewEncoder()
-	saveFlashV1(e, fl)
-	d := NewDecoder(e.Data())
-	d.ver = 1
-	got := mustFlash(g)
-	if err := LoadFlash(d, got); err != nil {
-		t.Fatal(err)
-	}
-	if d.Remaining() != 0 {
-		t.Fatalf("%d bytes left after v1 decode", d.Remaining())
-	}
-
-	// Re-encoding both devices under the current version must agree byte
-	// for byte: the v1 decode landed on the identical packed state.
-	want := NewEncoder()
-	SaveFlash(want, fl)
-	check := NewEncoder()
-	SaveFlash(check, got)
-	if !bytes.Equal(want.Data(), check.Data()) {
-		t.Fatal("v1-decoded flash state diverged from the source device")
-	}
-}
-
-// saveFlashV2 encodes the packed version-2 flash section — bitmaps, keys,
-// per-block erase/lastMod, chip clocks and counters, with no reliability
-// tail — the layout checkpoints written before the version-3 bump carry.
-func saveFlashV2(e *Encoder, fl *nand.Flash) {
-	s := fl.ExportState()
-	e.Words(s.Programmed)
-	e.Words(s.Valid)
-	e.U64(uint64(len(s.Keys)))
-	for _, k := range s.Keys {
-		e.I64(k)
-	}
-	e.U64(uint64(len(s.Erases)))
-	for i := range s.Erases {
-		e.I64(s.Erases[i])
-		e.I64(int64(s.LastMod[i]))
-	}
-	e.U64(uint64(len(s.ChipBusy)))
-	for _, t := range s.ChipBusy {
-		e.I64(int64(t))
-	}
-	saveCounters(e, s.Counters)
-	saveCounters(e, s.Lifetime)
-}
-
-// TestLoadFlashDecodesVersion2 pins the reliability-state upgrade path: a
-// version-2 flash section (no reliability tail) must restore with the
-// read-disturb counters, the bad-block list and the event tallies all
-// zeroed — exactly the state of a device that has never run with the fault
-// model attached. Since the simulator is deterministic, byte-identical
-// state means a fault-disabled continuation from a v2 checkpoint behaves
-// bit for bit like one from a v3 checkpoint of the same device.
-func TestLoadFlashDecodesVersion2(t *testing.T) {
-	g := nand.Geometry{Channels: 2, Ways: 1, Planes: 1, BlocksPerUnit: 2, PagesPerBlock: 4, PageSize: 4096}
-	fl := mustFlash(g)
-	var now nand.Time
-	for i, oob := range []nand.OOB{{Key: 11}, {Key: 22, Trans: true}, {Key: 33}} {
-		done, err := fl.Program(nand.PPN(i), oob, now, nand.OpHostData)
-		if err != nil {
-			t.Fatal(err)
-		}
-		now = done
-	}
-	if err := fl.Invalidate(0); err != nil {
-		t.Fatal(err)
-	}
-
-	e := NewEncoder()
-	saveFlashV2(e, fl)
-	d := NewDecoder(e.Data())
-	d.ver = 2
-	got := mustFlash(g)
-	if err := LoadFlash(d, got); err != nil {
-		t.Fatal(err)
-	}
-	if d.Remaining() != 0 {
-		t.Fatalf("%d bytes left after v2 decode", d.Remaining())
-	}
-	if got.BadBlocks() != 0 {
-		t.Fatalf("v2 decode grew %d bad blocks", got.BadBlocks())
-	}
-	if rel := got.RelCounters(); rel != (nand.RelCounters{}) {
-		t.Fatalf("v2 decode carried reliability tallies %+v", rel)
-	}
-
-	// The source never had a fault model attached, so its reliability state
-	// is zero too: a version-3 re-encode of both must agree byte for byte.
-	want := NewEncoder()
-	SaveFlash(want, fl)
-	check := NewEncoder()
-	SaveFlash(check, got)
-	if !bytes.Equal(want.Data(), check.Data()) {
-		t.Fatal("v2-decoded flash state diverged from the source device")
-	}
-}
-
-// TestRestoreVersionWindow: Restore accepts the current and the previous
-// format version and rejects anything outside the window.
+// TestRestoreVersionWindow: Restore accepts exactly the current format
+// version and rejects every other one.
 func TestRestoreVersionWindow(t *testing.T) {
 	body := func(version uint64) []byte {
 		e := NewEncoder()
@@ -351,7 +204,7 @@ func TestRestoreVersionWindow(t *testing.T) {
 	for _, tc := range []struct {
 		version uint64
 		ok      bool
-	}{{0, false}, {1, true}, {Version, true}, {Version + 1, false}} {
+	}{{0, false}, {Version - 1, false}, {Version, true}, {Version + 1, false}} {
 		dst := &fakeDevice{name: "dev"}
 		err := Restore(dst, "fp", body(tc.version))
 		if (err == nil) != tc.ok {

@@ -221,3 +221,19 @@ func TestRunAckedDeliversEveryAck(t *testing.T) {
 		t.Fatalf("acked %d of %d issued requests, want 60", acks, res.Requests)
 	}
 }
+
+// TestWarmedReturnsResult: Warmed reports the warm-up phase's own span and
+// request count while still resetting all metrics.
+func TestWarmedReturnsResult(t *testing.T) {
+	f, _ := ftl.NewIdeal(testConfig())
+	r := Warmed(f, []Generator{seqGen(0, 300, true)}, 0)
+	if r.Requests != 300 || r.Makespan() <= 0 {
+		t.Fatalf("Warmed result %+v", r)
+	}
+	if f.Collector().HostWrites != 0 {
+		t.Fatal("Warmed did not reset the collector")
+	}
+	if c := f.Flash().Counters(); c.TotalPrograms() != 0 {
+		t.Fatal("Warmed did not reset flash counters")
+	}
+}

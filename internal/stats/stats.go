@@ -146,23 +146,10 @@ func (c *Collector) Tracer() *obs.Tracer { return c.tr }
 
 // RecordRead records a completed host read request of the given latency.
 func (c *Collector) RecordRead(lat nand.Time, pages int) {
-	c.FillRead(c.ReserveRead(pages), lat)
-}
-
-// ReserveRead appends a placeholder read-latency record and returns its
-// slot, bumping the host read counts now. The parallel intra-run engine
-// reserves at issue time — in exact sequential order — and fills the
-// latency when the sharded flash ops resolve, so the record stream is
-// byte-identical to a sequential run regardless of resolution order.
-func (c *Collector) ReserveRead(pages int) int {
-	c.readLat.append(0)
+	c.readLat.append(int64(lat))
 	c.HostReads++
 	c.HostReadPages += int64(pages)
-	return c.readLat.len() - 1
 }
-
-// FillRead sets the latency of a slot returned by ReserveRead.
-func (c *Collector) FillRead(slot int, lat nand.Time) { c.readLat.set(slot, int64(lat)) }
 
 // RecordWrite records a completed host write request of the given latency.
 func (c *Collector) RecordWrite(lat nand.Time, pages int) {

@@ -219,28 +219,3 @@ func (t *TPFTL) GCFinalize(moved []int64, tt nand.Time) nand.Time {
 	}
 	return tt
 }
-
-// TryReadPages implements ftl.ShardReader: like DFTL's, with the request
-// length fed to the prefetch-length EMA exactly where ReadPages would —
-// after the pure resolvability probe, before the per-page bookkeeping.
-func (t *TPFTL) TryReadPages(lpn int64, n int, emit ftl.EmitRead) bool {
-	for k := 0; k < n; k++ {
-		l := lpn + int64(k)
-		if !t.cmt.Contains(l) && t.Mapped(l) {
-			return false
-		}
-	}
-	t.observe(n)
-	for k := 0; k < n; k++ {
-		l := lpn + int64(k)
-		t.Col.CMTLookups++
-		if ppn, ok := t.cmt.Lookup(l); ok {
-			t.Col.CMTHits++
-			t.Col.RecordClass(stats.ReadSingle)
-			emit(ppn, 0)
-			continue
-		}
-		t.Col.RecordClass(stats.ReadSingle)
-	}
-	return true
-}

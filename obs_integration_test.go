@@ -3,16 +3,61 @@ package learnedftl
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"learnedftl/internal/nand"
 	"learnedftl/internal/sim"
+	"learnedftl/internal/workload"
 )
 
 // obsBudget is the tiny budget the observability tests run under.
 func obsBudget() Budget {
 	return Budget{Requests: 2000, WarmExtra: 1, Threads: 16}
+}
+
+// obsRunGens builds the measured-phase workload: a read-heavy random mix
+// (1 write in 4) that exercises CMT hits and misses, write-back and GC.
+func obsRunGens(lp int64) []Generator {
+	const threads, perThread = 8, 150
+	gens := make([]Generator, threads)
+	for th := 0; th < threads; th++ {
+		rng := rand.New(rand.NewSource(31 + int64(th)*7919))
+		issued := 0
+		gens[th] = sim.GenFunc(func() (sim.Request, bool) {
+			if issued >= perThread {
+				return sim.Request{}, false
+			}
+			issued++
+			return sim.Request{
+				Write: rng.Intn(4) == 0,
+				LPN:   rng.Int63n(lp),
+				Pages: 1,
+			}, true
+		})
+	}
+	return gens
+}
+
+// obsWarmGens builds the warm-up generators (fresh per run — generators
+// are stateful).
+func obsWarmGens(lp int64) []Generator {
+	return workload.Warmup(lp, 1, 64, 1)
+}
+
+// runObsReference runs the untraced reference: warm-up, then a measured
+// run, returning the final device plus both results.
+func runObsReference(t *testing.T, s Scheme) (FTL, RunResult, RunResult) {
+	t.Helper()
+	f, err := New(s, TinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lp := f.Config().LogicalPages()
+	warm := sim.Warmed(f, obsWarmGens(lp), 0)
+	run := sim.Run(f, obsRunGens(lp), 0)
+	return f, warm, run
 }
 
 // sumPhases folds a breakdown's phase sums.
@@ -26,14 +71,13 @@ func sumPhases(b Breakdown) nand.Time {
 
 // TestObsGoldenEquivalence is the observability layer's acceptance pin:
 // attaching a tracer (with trace ring and registry) must not perturb the
-// simulation. For every scheme, a traced run — sequential and through the
-// parallel engine at 1, 2 and 8 workers — leaves the device byte-identical
-// to the untraced reference with identical results and report numbers, and
-// the parallel engine's span aggregates match the sequential tracer's.
+// simulation. For every scheme, a traced run leaves the device
+// byte-identical to the untraced reference with identical results and
+// report numbers, and its breakdown is self-consistent.
 func TestObsGoldenEquivalence(t *testing.T) {
 	for _, s := range Schemes() {
 		// Untraced sequential reference.
-		fa, warmA, runA := runShardEquivSeq(t, s)
+		fa, warmA, runA := runObsReference(t, s)
 		snapA, err := SnapshotDevice(fa)
 		if err != nil {
 			t.Fatalf("%s: snapshot: %v", s, err)
@@ -47,12 +91,12 @@ func TestObsGoldenEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		lp := fb.Config().LogicalPages()
-		trSeq := NewTracer()
-		trSeq.EnableTrace(1 << 16)
-		trSeq.SetRegistry(StandardRegistry(fb))
-		AttachTracer(fb, trSeq)
-		warmB := sim.Warmed(fb, shardWarm(lp), 0)
-		runB := sim.Run(fb, shardEquivGens(lp), 0)
+		tr := NewTracer()
+		tr.EnableTrace(1 << 16)
+		tr.SetRegistry(StandardRegistry(fb))
+		AttachTracer(fb, tr)
+		warmB := sim.Warmed(fb, obsWarmGens(lp), 0)
+		runB := sim.Run(fb, obsRunGens(lp), 0)
 		AttachTracer(fb, nil)
 
 		if warmA != warmB || runA != runB {
@@ -71,63 +115,16 @@ func TestObsGoldenEquivalence(t *testing.T) {
 			t.Fatalf("%s: tracing perturbed the report:\n%+v\n%+v", s, repB, repA)
 		}
 
-		bdSeq := trSeq.Breakdown()
-		if bdSeq.Requests != runB.Requests {
+		bd := tr.Breakdown()
+		if bd.Requests != runB.Requests {
 			t.Fatalf("%s: breakdown saw %d requests, run had %d",
-				s, bdSeq.Requests, runB.Requests)
+				s, bd.Requests, runB.Requests)
 		}
-		if got := sumPhases(bdSeq); got != bdSeq.TotalSum {
-			t.Fatalf("%s: phase sums %d != total %d", s, got, bdSeq.TotalSum)
+		if got := sumPhases(bd); got != bd.TotalSum {
+			t.Fatalf("%s: phase sums %d != total %d", s, got, bd.TotalSum)
 		}
-		if trSeq.Trace().Len() == 0 {
+		if tr.Trace().Len() == 0 {
 			t.Fatalf("%s: traced run produced no trace events", s)
-		}
-
-		// Traced parallel runs: device and report still byte-identical, and
-		// the span aggregates are engine-independent. (Tail fields are not
-		// compared: the tie order of equal-latency spans at the top-K
-		// boundary differs between engines; the histogram P99.9 does not.)
-		for _, workers := range []int{1, 2, 8} {
-			fc, err := New(s, TinyConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			trPar := NewTracer()
-			AttachTracer(fc, trPar)
-			warmC, _ := sim.WarmedSharded(fc, shardWarm(lp), 0, workers)
-			runC, _ := sim.RunSharded(fc, shardEquivGens(lp), 0, workers)
-			AttachTracer(fc, nil)
-
-			if warmA != warmC || runA != runC {
-				t.Fatalf("%s workers=%d: traced sharded results diverged", s, workers)
-			}
-			snapC, err := SnapshotDevice(fc)
-			if err != nil {
-				t.Fatalf("%s workers=%d: snapshot: %v", s, workers, err)
-			}
-			if !bytes.Equal(snapA, snapC) {
-				t.Fatalf("%s workers=%d: tracing perturbed the sharded device", s, workers)
-			}
-			if repC := report(fc, runC); !reflect.DeepEqual(repA, repC) {
-				t.Fatalf("%s workers=%d: tracing perturbed the sharded report:\n%+v\n%+v",
-					s, workers, repC, repA)
-			}
-			bdPar := trPar.Breakdown()
-			if bdPar.Requests != bdSeq.Requests || bdPar.Reads != bdSeq.Reads ||
-				bdPar.Writes != bdSeq.Writes {
-				t.Fatalf("%s workers=%d: span counts %d/%d/%d != sequential %d/%d/%d",
-					s, workers, bdPar.Requests, bdPar.Reads, bdPar.Writes,
-					bdSeq.Requests, bdSeq.Reads, bdSeq.Writes)
-			}
-			if bdPar.TotalSum != bdSeq.TotalSum || bdPar.PhaseSum != bdSeq.PhaseSum {
-				t.Fatalf("%s workers=%d: span aggregates diverged:\ntotal %d phases %v\ntotal %d phases %v",
-					s, workers, bdPar.TotalSum, bdPar.PhaseSum,
-					bdSeq.TotalSum, bdSeq.PhaseSum)
-			}
-			if bdPar.P999 != bdSeq.P999 {
-				t.Fatalf("%s workers=%d: P99.9 %d != sequential %d",
-					s, workers, bdPar.P999, bdSeq.P999)
-			}
 		}
 	}
 }
@@ -140,7 +137,7 @@ func TestObsDisabledZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	lp := f.Config().LogicalPages()
-	sim.Warmed(f, shardWarm(lp), 0)
+	sim.Warmed(f, obsWarmGens(lp), 0)
 	var now nand.Time
 	var lpn int64
 	if a := testing.AllocsPerRun(2000, func() {
@@ -158,7 +155,7 @@ func benchObsReads(b *testing.B, tr *Tracer) {
 		b.Fatal(err)
 	}
 	lp := f.Config().LogicalPages()
-	sim.Warmed(f, shardWarm(lp), 0)
+	sim.Warmed(f, obsWarmGens(lp), 0)
 	if tr != nil {
 		AttachTracer(f, tr)
 	}

@@ -2,9 +2,11 @@ package learnedftl
 
 import (
 	"bytes"
+	"hash/crc32"
 	"testing"
 
 	"learnedftl/internal/nand"
+	"learnedftl/internal/persist"
 	"learnedftl/internal/sim"
 	"learnedftl/internal/workload"
 )
@@ -269,6 +271,74 @@ func TestWarmCheckpointReuse(t *testing.T) {
 	// logical space of pages; those simulated programs were not re-paid.
 	if min := 2 * cfg.LogicalPages(); st.ProgramsSaved < min {
 		t.Fatalf("programs saved = %d, want >= %d (two warm-ups)", st.ProgramsSaved, min)
+	}
+}
+
+// restamp rewrites a snapshot's header version (recomputing the trailing
+// checksum), leaving a stream that is well-formed in every respect except
+// its format version.
+func restamp(snap []byte, version uint64) []byte {
+	body := snap[:len(snap)-4]
+	d := persist.NewDecoder(body)
+	magic := d.Str()
+	d.U64()
+	e := persist.NewEncoder()
+	e.Str(magic)
+	e.U64(version)
+	out := append(e.Data(), body[len(body)-d.Remaining():]...)
+	sum := crc32.ChecksumIEEE(out)
+	return append(out, byte(sum), byte(sum>>8), byte(sum>>16), byte(sum>>24))
+}
+
+// TestStaleCheckpointFallsBackToColdWarmup: a cached warm checkpoint
+// written under the previous snapshot version must not restore. newWarmed
+// counts it as a miss, warms the device cold, overwrites the entry with a
+// current-version snapshot, and hands back a device byte-identical to a
+// warm-up with no cache at all.
+func TestStaleCheckpointFallsBackToColdWarmup(t *testing.T) {
+	cfg := TinyConfig()
+	s := SchemeLearnedFTL
+	b := sweepTestBudget(1)
+	cold, err := newWarmed(s, cfg, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldSnap, err := SnapshotDevice(cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := warmKey(s, cfg, b.WarmExtra)
+	current := persist.Snapshot(cold.(persist.Device), key)
+
+	cache, err := NewCheckpointCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := restamp(current, persist.Version-1)
+	if err := persist.Restore(cold.(persist.Device), key, stale); err == nil {
+		t.Fatal("restamped snapshot still restores; the test would prove nothing")
+	}
+	cache.Store(key, stale)
+	before := cache.Stats()
+
+	b.Checkpoints = cache
+	f, err := newWarmed(s, cfg, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := cache.Stats()
+	if st.Misses-before.Misses != 1 || st.Hits != before.Hits || st.Stores-before.Stores != 1 {
+		t.Fatalf("stale entry: stats %+v -> %+v, want one miss, no hit, one store", before, st)
+	}
+	if got, ok := cache.Load(key); !ok || !bytes.Equal(got, current) {
+		t.Fatal("stale entry was not overwritten with a current-version snapshot")
+	}
+	snap, err := SnapshotDevice(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snap, coldSnap) {
+		t.Fatalf("fallback device diverged from a cold warm-up (%d vs %d bytes)", len(snap), len(coldSnap))
 	}
 }
 
