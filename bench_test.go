@@ -230,7 +230,7 @@ func BenchmarkAblationNoCrossGroup(b *testing.B) {
 // the allocation trajectory visible.
 
 func BenchmarkCMTHit(b *testing.B) {
-	c := mapping.NewCMT(1024)
+	c := mapping.NewCMT(1024, 512)
 	for i := int64(0); i < 1024; i++ {
 		c.Insert(i, nand.PPN(i), false)
 	}
@@ -245,7 +245,7 @@ func BenchmarkCMTHit(b *testing.B) {
 
 func BenchmarkCMTMissEvictInsert(b *testing.B) {
 	const capn = 1024
-	c := mapping.NewCMT(capn)
+	c := mapping.NewCMT(capn, 512)
 	for i := int64(0); i < capn; i++ {
 		c.Insert(i, nand.PPN(i), false)
 	}
@@ -258,6 +258,38 @@ func BenchmarkCMTMissEvictInsert(b *testing.B) {
 			if _, ok := c.EvictLRU(); !ok {
 				b.Fatal("eviction failed")
 			}
+		}
+	}
+}
+
+// BenchmarkCMTWriteBack measures TPFTL-style batched write-back at the
+// quick configuration's cache shape (4,976 entries, 512-entry translation
+// pages): every iteration inserts a dirty mapping, evicts the dirty LRU
+// entry and cleans its translation page. Each cached mapping sits in its
+// own translation page, so every eviction is dirty; the clean costs
+// O(dirty entries of the page), not one probe per LPN of it.
+func BenchmarkCMTWriteBack(b *testing.B) {
+	const capn, tp = 4976, 512
+	const pages = capn + 1
+	c := mapping.NewCMT(capn, tp)
+	lpnOf := func(i int) int64 { return int64(i%pages)*tp + int64(i/pages%tp) }
+	writeBack := func(i int) (mapping.Entry, bool) {
+		c.Insert(lpnOf(i), nand.PPN(i), true)
+		e, ok := c.EvictLRU()
+		c.CleanTP(int(e.LPN / tp))
+		return e, ok
+	}
+	// Touch every page once so the per-page list heads are grown.
+	for i := 0; i < capn; i++ {
+		c.Insert(lpnOf(i), nand.PPN(i), true)
+	}
+	writeBack(capn)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := pages; i < pages+b.N; i++ {
+		e, ok := writeBack(i)
+		if !ok || !e.Dirty {
+			b.Fatalf("evicted %+v,%v, want a dirty entry", e, ok)
 		}
 	}
 }

@@ -209,7 +209,7 @@ func New(cfg ftl.Config, opt Options) (*LearnedFTL, error) {
 		col:        stats.NewCollector(),
 		l2p:        l2p,
 		gtd:        mapping.NewGTD(numTPNs),
-		cmt:        mapping.NewCMT(cfg.CMTEntriesFor(cfg.CMTRatio / 2)),
+		cmt:        mapping.NewCMT(cfg.CMTEntriesFor(cfg.CMTRatio/2), cfg.EntriesPerTP),
 		models:     make([]*learned.InPlaceModel, numTPNs),
 		span:       span,
 		sbPages:    sbPages,
@@ -522,7 +522,7 @@ func (f *LearnedFTL) invalidateData(p nand.PPN) {
 	if err := f.fl.Invalidate(p); err != nil {
 		panic(fmt.Sprintf("core: %v", err))
 	}
-	f.rowInvalid[f.codec.Decode(p).Block]++
+	f.rowInvalid[f.codec.BlockID(p)%f.codec.Geometry().BlocksPerUnit]++
 }
 
 // drainEvictions applies TPFTL-style batched write-back to the CMT.
@@ -537,10 +537,7 @@ func (f *LearnedFTL) drainEvictions(now nand.Time) nand.Time {
 		}
 		tpn := f.cfg.TPNOf(e.LPN)
 		now = f.updateTrans(tpn, true, now)
-		lo, hi := f.cfg.TPRange(tpn)
-		for _, de := range f.cmt.DirtyInRange(lo, hi) {
-			f.cmt.MarkClean(de.LPN)
-		}
+		f.cmt.CleanTP(tpn)
 	}
 	return now
 }

@@ -456,9 +456,7 @@ func (f *LearnedFTL) relocateGroup(id, newRow int, t nand.Time, moved *int, oldR
 			}
 		}
 		t = f.updateTrans(tpn, false, t)
-		for _, de := range f.cmt.DirtyInRange(lo, hi) {
-			f.cmt.MarkClean(de.LPN)
-		}
+		f.cmt.CleanTP(tpn)
 	}
 	return t
 }

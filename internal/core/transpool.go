@@ -67,8 +67,7 @@ func (p *transPool) alloc() (nand.PPN, bool) {
 		p.free[best] = p.free[best][:n-1]
 		p.active[best] = blk
 	}
-	base := p.codec.Encode(p.codec.BlockAddr(blk))
-	return base + nand.PPN(p.fl.BlockWritePtr(blk)), true
+	return p.codec.BlockBase(blk) + nand.PPN(p.fl.BlockWritePtr(blk)), true
 }
 
 // victim returns the written, non-active pool block with the fewest valid
@@ -124,7 +123,7 @@ func (p *transPool) gcTrans(now nand.Time, gtdFix func(tpn int, np nand.PPN)) (n
 		return now, false
 	}
 	g := p.fl.Geometry()
-	base := p.codec.Encode(p.codec.BlockAddr(victim))
+	base := p.codec.BlockBase(victim)
 	t := now
 	for i := 0; i < g.PagesPerBlock; i++ {
 		ppn := base + nand.PPN(i)

@@ -151,14 +151,14 @@ func TestGCKeepsMappingAndCacheCoherent(t *testing.T) {
 
 func TestAffectedTPNsDedup(t *testing.T) {
 	cfg := testConfig()
-	got := affectedTPNs(cfg, []int64{0, 1, 2, 33, 64, 65})
+	got := cfg.AffectedTPNs([]int64{65, 0, 1, 2, 33, 64})
 	want := []int{0, 1, 2}
 	if len(got) != len(want) {
-		t.Fatalf("affectedTPNs = %v", got)
+		t.Fatalf("AffectedTPNs = %v", got)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("affectedTPNs = %v, want %v", got, want)
+			t.Fatalf("AffectedTPNs = %v, want %v", got, want)
 		}
 	}
 }

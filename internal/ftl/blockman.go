@@ -175,8 +175,7 @@ func (b *BlockMan) allocOn(chip int, trans bool) (nand.PPN, bool) {
 		b.notifyActive(blk)
 	}
 	pg := b.f.BlockWritePtr(blk)
-	base := b.codec.Encode(b.codec.BlockAddr(blk))
-	return base + nand.PPN(pg), true
+	return b.codec.BlockBase(blk) + nand.PPN(pg), true
 }
 
 // Retire removes a grown bad block from circulation: if it is an active
@@ -186,7 +185,7 @@ func (b *BlockMan) allocOn(chip int, trans bool) (nand.PPN, bool) {
 // the block; free stacks never contain bad blocks because retired blocks
 // are never Released.
 func (b *BlockMan) Retire(blockID int) {
-	chip := b.codec.Chip(b.codec.Encode(b.codec.BlockAddr(blockID)))
+	chip := b.codec.ChipOfBlock(blockID)
 	if b.activeData[chip] == blockID {
 		b.activeData[chip] = -1
 		b.notifyActive(blockID)
@@ -199,7 +198,7 @@ func (b *BlockMan) Retire(blockID int) {
 
 // Release returns an erased block to the free pool.
 func (b *BlockMan) Release(blockID int) {
-	chip := b.codec.Chip(b.codec.Encode(b.codec.BlockAddr(blockID)))
+	chip := b.codec.ChipOfBlock(blockID)
 	b.free[chip] = append(b.free[chip], blockID)
 	b.freeCount++
 }
@@ -207,6 +206,6 @@ func (b *BlockMan) Release(blockID int) {
 // IsActive reports whether blockID is currently an active write block of
 // either stream (active blocks are not GC victims).
 func (b *BlockMan) IsActive(blockID int) bool {
-	chip := b.codec.Chip(b.codec.Encode(b.codec.BlockAddr(blockID)))
+	chip := b.codec.ChipOfBlock(blockID)
 	return b.activeData[chip] == blockID || b.activeTrans[chip] == blockID
 }

@@ -7,6 +7,7 @@ package ftl
 
 import (
 	"fmt"
+	"slices"
 
 	"learnedftl/internal/fault"
 	"learnedftl/internal/gc"
@@ -129,6 +130,17 @@ func (c Config) TPNOf(lpn int64) int { return int(lpn / int64(c.EntriesPerTP)) }
 func (c Config) TPRange(tpn int) (lo, hi int64) {
 	lo = int64(tpn) * int64(c.EntriesPerTP)
 	return lo, lo + int64(c.EntriesPerTP)
+}
+
+// AffectedTPNs returns the sorted, unique translation pages covering lpns:
+// the pages a GC that moved those LPNs must persist, in write order.
+func (c Config) AffectedTPNs(lpns []int64) []int {
+	out := make([]int, len(lpns))
+	for i, l := range lpns {
+		out[i] = c.TPNOf(l)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // CMTEntriesFor returns the mapping-cache capacity in entries for ratio r.

@@ -19,10 +19,13 @@ type Entry struct {
 const nilNode = int32(-1)
 
 // cmtNode is one pooled LRU slot: an Entry plus intrusive prev/next links
-// into the recency list (indices into CMT.nodes, nilNode-terminated).
+// into the recency list and, while the entry is dirty, dprev/dnext links
+// into its translation page's dirty list (indices into CMT.nodes,
+// nilNode-terminated).
 type cmtNode struct {
-	entry      Entry
-	prev, next int32
+	entry        Entry
+	prev, next   int32
+	dprev, dnext int32
 }
 
 // CMT is the cached mapping table of DFTL (Gupta et al., ASPLOS'09): an LRU
@@ -33,25 +36,33 @@ type cmtNode struct {
 // pool and the recency list is threaded through pool indices, so the hot
 // paths (Lookup hit, Insert update, EvictLRU + re-Insert) perform zero heap
 // allocations. Only a cold miss that grows the index map can allocate.
+//
+// Every dirty entry is also threaded onto a per-translation-page dirty
+// list, so the batched write-back of one translation page (CleanTP) costs
+// O(dirty entries of that page) rather than one index probe per LPN.
 type CMT struct {
-	cap   int
-	nodes []cmtNode
-	index map[int64]int32
-	head  int32 // most recently used, nilNode when empty
-	tail  int32 // least recently used, nilNode when empty
-	free  int32 // free-list head threaded through next
-	size  int
-	dirty int
+	cap    int
+	tpSize int64 // mappings per translation page
+	nodes  []cmtNode
+	index  map[int64]int32
+	head   int32   // most recently used, nilNode when empty
+	tail   int32   // least recently used, nilNode when empty
+	free   int32   // free-list head threaded through next
+	dhead  []int32 // per-TPN dirty-list head, grown on demand
+	size   int
+	dirty  int
 }
 
-// NewCMT returns a CMT holding at most capacity entries. A non-positive
+// NewCMT returns a CMT holding at most capacity entries of a mapping table
+// whose translation pages hold entriesPerTP mappings each. A non-positive
 // capacity yields a cache that stores nothing (every lookup misses).
-func NewCMT(capacity int) *CMT {
+func NewCMT(capacity, entriesPerTP int) *CMT {
 	c := &CMT{
-		cap:  capacity,
-		head: nilNode,
-		tail: nilNode,
-		free: nilNode,
+		cap:    capacity,
+		tpSize: int64(entriesPerTP),
+		head:   nilNode,
+		tail:   nilNode,
+		free:   nilNode,
 	}
 	if capacity > 0 {
 		// Callers may overshoot capacity by one entry before draining
@@ -113,6 +124,36 @@ func (c *CMT) pushFront(n int32) {
 	}
 }
 
+// linkDirty pushes node n onto the dirty list of its translation page.
+func (c *CMT) linkDirty(n int32) {
+	tpn := int(c.nodes[n].entry.LPN / c.tpSize)
+	for len(c.dhead) <= tpn {
+		c.dhead = append(c.dhead, nilNode)
+	}
+	nd := &c.nodes[n]
+	nd.dprev = nilNode
+	nd.dnext = c.dhead[tpn]
+	if nd.dnext != nilNode {
+		c.nodes[nd.dnext].dprev = n
+	}
+	c.dhead[tpn] = n
+	c.dirty++
+}
+
+// unlinkDirty removes node n from the dirty list of its translation page.
+func (c *CMT) unlinkDirty(n int32) {
+	nd := &c.nodes[n]
+	if nd.dprev != nilNode {
+		c.nodes[nd.dprev].dnext = nd.dnext
+	} else {
+		c.dhead[nd.entry.LPN/c.tpSize] = nd.dnext
+	}
+	if nd.dnext != nilNode {
+		c.nodes[nd.dnext].dprev = nd.dprev
+	}
+	c.dirty--
+}
+
 // Lookup returns the cached mapping for lpn and promotes it to MRU.
 func (c *CMT) Lookup(lpn int64) (nand.PPN, bool) {
 	n, ok := c.index[lpn]
@@ -150,15 +191,15 @@ func (c *CMT) Insert(lpn int64, ppn nand.PPN, dirty bool) {
 	}
 	if n, ok := c.index[lpn]; ok {
 		e := &c.nodes[n].entry
+		e.PPN = ppn
 		if e.Dirty != dirty {
+			e.Dirty = dirty
 			if dirty {
-				c.dirty++
+				c.linkDirty(n)
 			} else {
-				c.dirty--
+				c.unlinkDirty(n)
 			}
 		}
-		e.PPN = ppn
-		e.Dirty = dirty
 		if c.head != n {
 			c.unlink(n)
 			c.pushFront(n)
@@ -171,7 +212,7 @@ func (c *CMT) Insert(lpn int64, ppn nand.PPN, dirty bool) {
 	c.index[lpn] = n
 	c.size++
 	if dirty {
-		c.dirty++
+		c.linkDirty(n)
 	}
 }
 
@@ -200,7 +241,7 @@ func (c *CMT) Remove(lpn int64) (Entry, bool) {
 func (c *CMT) removeNode(n int32) Entry {
 	e := c.nodes[n].entry
 	if e.Dirty {
-		c.dirty--
+		c.unlinkDirty(n)
 	}
 	c.unlink(n)
 	delete(c.index, e.LPN)
@@ -216,24 +257,29 @@ func (c *CMT) MarkClean(lpn int64) {
 		e := &c.nodes[n].entry
 		if e.Dirty {
 			e.Dirty = false
-			c.dirty--
+			c.unlinkDirty(n)
 		}
 	}
 }
 
-// DirtyInRange returns the dirty entries with LPN in [lo, hi), in no
-// particular order. TPFTL's batched write-back uses this to flush every
-// dirty mapping of a translation page in one read-modify-write.
-func (c *CMT) DirtyInRange(lo, hi int64) []Entry {
-	var out []Entry
-	for lpn := lo; lpn < hi; lpn++ {
-		if n, ok := c.index[lpn]; ok {
-			if e := c.nodes[n].entry; e.Dirty {
-				out = append(out, e)
-			}
-		}
+// CleanTP clears the dirty flag of every cached mapping of translation page
+// tpn and returns how many it cleared. TPFTL-style batched write-back calls
+// it after one read-modify-write has persisted the whole page. Recency is
+// untouched; the cost is O(dirty entries of tpn) and a clean page is O(1).
+func (c *CMT) CleanTP(tpn int) int {
+	if tpn < 0 || tpn >= len(c.dhead) {
+		return 0
 	}
-	return out
+	cleared := 0
+	for n := c.dhead[tpn]; n != nilNode; {
+		nd := &c.nodes[n]
+		nd.entry.Dirty = false
+		n = nd.dnext
+		cleared++
+	}
+	c.dhead[tpn] = nilNode
+	c.dirty -= cleared
+	return cleared
 }
 
 // Export returns the cached entries in LRU→MRU order. Re-Inserting them in

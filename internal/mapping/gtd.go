@@ -2,11 +2,6 @@ package mapping
 
 import "learnedftl/internal/nand"
 
-// EntriesPerTransPage is the number of 8-byte LPN→PPN mappings in one 4KB
-// translation page (paper §IV-A: "each translation page has 512 LPN-PPN
-// mappings").
-const EntriesPerTransPage = 512
-
 // GTD is the global translation directory: for every translation-page
 // number (TPN) it records the flash location of the current version of that
 // translation page, or InvalidPPN when the page has never been written.
@@ -26,15 +21,6 @@ func NewGTD(numTPNs int) *GTD {
 
 // NumTPNs returns the number of translation pages the directory tracks.
 func (g *GTD) NumTPNs() int { return len(g.loc) }
-
-// TPNOf returns the translation-page number covering lpn.
-func TPNOf(lpn int64) int { return int(lpn / EntriesPerTransPage) }
-
-// RangeOf returns the [lo, hi) LPN range covered by tpn.
-func RangeOf(tpn int) (lo, hi int64) {
-	lo = int64(tpn) * EntriesPerTransPage
-	return lo, lo + EntriesPerTransPage
-}
 
 // Lookup returns the flash location of translation page tpn.
 func (g *GTD) Lookup(tpn int) nand.PPN { return g.loc[tpn] }

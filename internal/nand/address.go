@@ -120,9 +120,20 @@ func (c AddrCodec) ToPhysical(v VPPN) PPN {
 
 // Chip returns the parallel-unit index (channel*Ways + way) of a PPN.
 // Operations on the same chip serialize; different chips proceed in parallel.
+// Channel and way are the top fields of a PPN, so the chip is one quotient.
 func (c AddrCodec) Chip(p PPN) int {
-	a := c.Decode(p)
-	return a.Channel*c.g.Ways + a.Way
+	g := c.g
+	return int(int64(p) / (int64(g.PagesPerBlock) * int64(g.BlocksPerUnit) * int64(g.Planes)))
+}
+
+// ChipOfBlock returns the chip holding the device-wide block blockID.
+func (c AddrCodec) ChipOfBlock(blockID int) int {
+	return blockID / (c.g.BlocksPerUnit * c.g.Planes)
+}
+
+// BlockBase returns the PPN of page 0 of the device-wide block blockID.
+func (c AddrCodec) BlockBase(blockID int) PPN {
+	return PPN(int64(blockID) * int64(c.g.PagesPerBlock))
 }
 
 // BlockID returns the device-wide block index of the block containing p.
@@ -132,7 +143,7 @@ func (c AddrCodec) BlockID(p PPN) int {
 
 // BlockAddr returns the address of page 0 of the device-wide block blockID.
 func (c AddrCodec) BlockAddr(blockID int) Addr {
-	return c.Decode(PPN(int64(blockID) * int64(c.g.PagesPerBlock)))
+	return c.Decode(c.BlockBase(blockID))
 }
 
 // SuperblockVPPNBase returns the first VPPN of the superblock stripe that

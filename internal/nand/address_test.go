@@ -1,7 +1,6 @@
 package nand
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -184,17 +183,53 @@ func TestSuperblockVPPNBase(t *testing.T) {
 	}
 }
 
+// TestChipOfPPN checks the single-division shortcuts the flash and
+// block-manager hot paths use against the full five-field Decode, for
+// every PPN of the paper, quick and tiny geometries and of one geometry
+// with no power-of-two field and Planes > 1.
 func TestChipOfPPN(t *testing.T) {
-	c := NewAddrCodec(testGeom())
-	g := c.Geometry()
-	for i := 0; i < 100; i++ {
-		a := Addr{
-			Channel: rand.Intn(g.Channels), Way: rand.Intn(g.Ways),
-			Block: rand.Intn(g.BlocksPerUnit), Page: rand.Intn(g.PagesPerBlock),
+	geoms := map[string]Geometry{
+		"paper": PaperGeometry(),
+		"quick": {Channels: 4, Ways: 4, Planes: 1, BlocksPerUnit: 32, PagesPerBlock: 512, PageSize: 4096},
+		"tiny":  {Channels: 8, Ways: 8, Planes: 1, BlocksPerUnit: 16, PagesPerBlock: 64, PageSize: 4096},
+		"odd":   {Channels: 3, Ways: 2, Planes: 2, BlocksPerUnit: 5, PagesPerBlock: 6, PageSize: 4096},
+	}
+	for name, g := range geoms {
+		c := NewAddrCodec(g)
+		for p := PPN(0); int(p) < g.TotalPages(); p++ {
+			a := c.Decode(p)
+			bid := c.BlockID(p)
+			if got, want := c.Chip(p), a.Channel*g.Ways+a.Way; got != want {
+				t.Fatalf("%s: Chip(%d) = %d, want %d", name, p, got, want)
+			}
+			if got, want := c.ChipOfBlock(bid), a.Channel*g.Ways+a.Way; got != want {
+				t.Fatalf("%s: ChipOfBlock(%d) = %d, want %d", name, bid, got, want)
+			}
+			if got, want := c.BlockBase(bid), c.Encode(c.BlockAddr(bid)); got != want {
+				t.Fatalf("%s: BlockBase(%d) = %d, want %d", name, bid, got, want)
+			}
+			if got := int(p - c.BlockBase(bid)); got != a.Page {
+				t.Fatalf("%s: page offset of %d = %d, want %d", name, p, got, a.Page)
+			}
+			if got := bid % g.BlocksPerUnit; got != a.Block {
+				t.Fatalf("%s: block-in-plane of %d = %d, want %d", name, p, got, a.Block)
+			}
 		}
-		if got, want := c.Chip(c.Encode(a)), a.Channel*g.Ways+a.Way; got != want {
-			t.Fatalf("Chip(%+v) = %d, want %d", a, got, want)
-		}
+	}
+
+	// Program derives the page offset from the block base: on a block far
+	// from PPN 0 it must still accept the in-order page and reject a skip.
+	f := mustFlash(geoms["odd"])
+	c := NewAddrCodec(geoms["odd"])
+	base := c.BlockBase(c.Geometry().TotalBlocks() - 1)
+	if _, err := f.Program(base, OOB{}, 0, OpHostData); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Program(base+2, OOB{}, 0, OpHostData); err == nil {
+		t.Fatal("out-of-order program accepted")
+	}
+	if _, err := f.Program(base+1, OOB{}, 0, OpHostData); err != nil {
+		t.Fatal(err)
 	}
 }
 

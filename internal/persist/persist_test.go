@@ -120,7 +120,7 @@ func TestSnapshotContainerVerification(t *testing.T) {
 }
 
 func TestCMTSectionPreservesRecencyAndDirty(t *testing.T) {
-	src := mapping.NewCMT(4)
+	src := mapping.NewCMT(4, 512)
 	src.Insert(10, 100, false)
 	src.Insert(20, 200, true)
 	src.Insert(30, 300, false)
@@ -128,7 +128,7 @@ func TestCMTSectionPreservesRecencyAndDirty(t *testing.T) {
 
 	e := NewEncoder()
 	SaveCMT(e, src)
-	dst := mapping.NewCMT(4)
+	dst := mapping.NewCMT(4, 512)
 	if err := LoadCMT(NewDecoder(e.Data()), dst); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestCMTSectionPreservesRecencyAndDirty(t *testing.T) {
 		}
 	}
 	// Capacity mismatch is rejected.
-	if err := LoadCMT(NewDecoder(e.Data()), mapping.NewCMT(2)); err == nil {
+	if err := LoadCMT(NewDecoder(e.Data()), mapping.NewCMT(2, 512)); err == nil {
 		t.Fatal("over-capacity CMT section accepted")
 	}
 }
