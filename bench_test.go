@@ -184,6 +184,75 @@ func BenchmarkSegmentsFit(b *testing.B) {
 	}
 }
 
+// lsmtBatch draws k sorted, distinct LPNs in one 512-entry translation page
+// and maps them to consecutive VPPNs from *next — the shape a LeaFTL flush
+// or GC relocation hands the trainer — and fits LeaFTL's segments over them.
+func lsmtBatch(rng *rand.Rand, k int, next *int64) []learned.Segment {
+	lpns := rng.Perm(512)[:k]
+	sort.Ints(lpns)
+	pts := make([]learned.Point, k)
+	for i, x := range lpns {
+		pts[i] = learned.Point{X: int64(x), Y: *next}
+		*next++
+	}
+	return learned.FitSegments(pts, 4, 256)
+}
+
+// BenchmarkLSMTInsert measures LeaFTL's LSMT write path at perfbench
+// randwrite's shape: a 2,048-page buffer flush over the quick device's ~330
+// translation pages gives each page about 6 sorted random LPNs per flush.
+// Every op inserts one such batch into one page's table; every 64th op also
+// inserts a 32-point GC retrain and compacts shadowed segments, as
+// GCFinalize does.
+func BenchmarkLSMTInsert(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	var next int64
+	flush := make([][]learned.Segment, 1024)
+	for i := range flush {
+		flush[i] = lsmtBatch(rng, 6, &next)
+	}
+	gc := make([][]learned.Segment, 64)
+	for i := range gc {
+		gc[i] = lsmtBatch(rng, 32, &next)
+	}
+	lt := learned.NewLSMT()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lt.Insert(flush[i%len(flush)])
+		if i%64 == 63 {
+			lt.Insert(gc[i/64%len(gc)])
+			lt.CompactShadowed()
+		}
+	}
+}
+
+// BenchmarkSequentialInit measures LearnedFTL's per-write model upkeep at
+// randwrite's shape: one 4 KB overwrite clears the page's accuracy bit and
+// installs a one-page y=x piece (§III-E1) into a 512-entry, 8-piece model,
+// which prunes pieces left with no accurate bits.
+func BenchmarkSequentialInit(b *testing.B) {
+	const span = 512
+	rng := rand.New(rand.NewSource(6))
+	m := learned.NewInPlaceModel(span, learned.DefaultMaxPieces)
+	vppns := make([]int64, span)
+	for i := range vppns {
+		vppns[i] = int64(i)
+	}
+	m.TrainFull(0, vppns)
+	offs := make([]int, 4096)
+	for i := range offs {
+		offs[i] = rng.Intn(span)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := offs[i%len(offs)]
+		m.Invalidate(off)
+		m.SequentialInit(off, 1, int64(span+i))
+	}
+}
+
 // Ablation benches for the design choices DESIGN.md calls out.
 
 func benchLearnedRandRead(b *testing.B, opt Options) {

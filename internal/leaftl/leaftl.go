@@ -10,6 +10,7 @@
 package leaftl
 
 import (
+	"slices"
 	"sort"
 
 	"learnedftl/internal/ftl"
@@ -36,6 +37,15 @@ type LeaFTL struct {
 	models map[int]*learned.LSMT
 
 	cache *modelCache
+
+	// Reused scratch: the flush's sorted LPNs and training points, and
+	// GCFinalize's training points. Foreground GC (and with it
+	// GCFinalize) runs inside flush's HostProgram and UpdateTrans calls,
+	// so the two callers need separate point buffers; GC itself never
+	// re-enters.
+	lpnBuf   []int64
+	flushPts []learned.Point
+	gcPts    []learned.Point
 }
 
 // New builds a LeaFTL device.
@@ -107,11 +117,12 @@ func (l *LeaFTL) flush(now nand.Time) nand.Time {
 	if len(l.buffer) == 0 {
 		return now
 	}
-	lpns := make([]int64, 0, len(l.buffer))
+	lpns := l.lpnBuf[:0]
 	for lpn := range l.buffer {
 		lpns = append(lpns, lpn)
 	}
-	sort.Slice(lpns, func(i, j int) bool { return lpns[i] < lpns[j] })
+	slices.Sort(lpns)
+	l.lpnBuf = lpns
 
 	// Program sorted pages across chips; collect the training points. The
 	// buffer drains page by page as each program lands — not wholesale up
@@ -120,7 +131,7 @@ func (l *LeaFTL) flush(now nand.Time) nand.Time {
 	// acked writes a write-back crash loses, which the crash verifier
 	// exempts from the durability check.
 	end := now
-	pts := make(map[int][]learned.Point)
+	pts := l.flushPts[:0]
 	for _, lpn := range lpns {
 		ppn, done := l.HostProgram(lpn, now)
 		delete(l.buffer, lpn)
@@ -132,26 +143,39 @@ func (l *LeaFTL) flush(now nand.Time) nand.Time {
 			// point — there is no physical page to learn.
 			continue
 		}
-		tpn := l.Cfg.TPNOf(lpn)
-		pts[tpn] = append(pts[tpn], learned.Point{
+		pts = append(pts, learned.Point{
 			X: lpn,
 			Y: int64(l.Codec.ToVirtual(ppn)),
 		})
 	}
-	// Train per affected translation page and persist the segments.
-	tpns := make([]int, 0, len(pts))
-	for tpn := range pts {
-		tpns = append(tpns, tpn)
-	}
-	sort.Ints(tpns)
-	t := end
-	for _, tpn := range tpns {
-		segs := learned.FitSegments(pts[tpn], l.Cfg.LeaGamma, maxSegmentLen)
+	l.flushPts = pts
+	return l.train(pts, false, end)
+}
+
+// train fits segments per translation page over LPN-sorted points, inserts
+// them into that page's LSMT and persists them, visiting pages in ascending
+// TPN order. compact marks a GC retrain: it also drops shadowed segments
+// and resizes the page's cached model in place, where a flush inserts its
+// fresh (hot) models into the cache.
+func (l *LeaFTL) train(pts []learned.Point, compact bool, t nand.Time) nand.Time {
+	for len(pts) > 0 {
+		tpn := l.Cfg.TPNOf(pts[0].X)
+		n := 1
+		for n < len(pts) && l.Cfg.TPNOf(pts[n].X) == tpn {
+			n++
+		}
+		segs := learned.FitSegments(pts[:n], l.Cfg.LeaGamma, maxSegmentLen)
+		pts = pts[n:]
 		lt := l.lsmt(tpn)
 		lt.Insert(segs)
 		l.Col.ModelTrainings++
-		l.cache.Insert(tpn, lt.SizeBytes()) // fresh models are hot
-		t = l.UpdateTrans(tpn, true, t)     // append segments: RMW
+		if compact {
+			lt.CompactShadowed()
+			l.cache.Resize(tpn, lt.SizeBytes())
+		} else {
+			l.cache.Insert(tpn, lt.SizeBytes()) // fresh models are hot
+		}
+		t = l.UpdateTrans(tpn, true, t) // append segments: RMW
 	}
 	return t
 }
@@ -361,27 +385,13 @@ func (l *LeaFTL) GCFinalize(moved []int64, t nand.Time) nand.Time {
 	if len(moved) == 0 {
 		return t
 	}
-	pts := make(map[int][]learned.Point)
+	pts := l.gcPts[:0]
 	for _, lpn := range moved { // already sorted by Base.SortRelocate
-		tpn := l.Cfg.TPNOf(lpn)
-		pts[tpn] = append(pts[tpn], learned.Point{
+		pts = append(pts, learned.Point{
 			X: lpn,
 			Y: int64(l.Codec.ToVirtual(l.L2P[lpn])),
 		})
 	}
-	tpns := make([]int, 0, len(pts))
-	for tpn := range pts {
-		tpns = append(tpns, tpn)
-	}
-	sort.Ints(tpns)
-	for _, tpn := range tpns {
-		segs := learned.FitSegments(pts[tpn], l.Cfg.LeaGamma, maxSegmentLen)
-		lt := l.lsmt(tpn)
-		lt.Insert(segs)
-		lt.CompactShadowed()
-		l.Col.ModelTrainings++
-		l.cache.Resize(tpn, lt.SizeBytes())
-		t = l.UpdateTrans(tpn, true, t)
-	}
-	return t
+	l.gcPts = pts
+	return l.train(pts, true, t)
 }

@@ -41,28 +41,39 @@ func (b *Bitmap) Count() int {
 	return c
 }
 
+// rangeMask returns the mask of bits [lo, hi) that fall in word w, where
+// lo < hi and w lies in [lo>>6, (hi-1)>>6].
+func rangeMask(w, lo, hi int) uint64 {
+	m := ^uint64(0)
+	if w == lo>>6 {
+		m <<= uint(lo) & 63
+	}
+	if w == (hi-1)>>6 {
+		m &= ^uint64(0) >> (63 - (uint(hi-1) & 63))
+	}
+	return m
+}
+
 // CountRange returns the number of set bits in [lo, hi).
 func (b *Bitmap) CountRange(lo, hi int) int {
 	c := 0
-	for i := lo; i < hi; i++ {
-		if b.Get(i) {
-			c++
-		}
+	for w := lo >> 6; lo < hi && w <= (hi-1)>>6; w++ {
+		c += bits.OnesCount64(b.words[w] & rangeMask(w, lo, hi))
 	}
 	return c
 }
 
 // ClearRange zeroes bits [lo, hi).
 func (b *Bitmap) ClearRange(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		b.Clear(i)
+	for w := lo >> 6; lo < hi && w <= (hi-1)>>6; w++ {
+		b.words[w] &^= rangeMask(w, lo, hi)
 	}
 }
 
 // SetRange sets bits [lo, hi).
 func (b *Bitmap) SetRange(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		b.Set(i)
+	for w := lo >> 6; lo < hi && w <= (hi-1)>>6; w++ {
+		b.words[w] |= rangeMask(w, lo, hi)
 	}
 }
 

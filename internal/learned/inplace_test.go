@@ -307,3 +307,71 @@ func TestBitmapBasics(t *testing.T) {
 		t.Fatalf("SizeBytes = %d", b.SizeBytes())
 	}
 }
+
+// TestBitmapRangeOpsMatchPerBit checks the word-at-a-time range operations
+// against per-bit loops over every [lo, hi), empty ranges included, for
+// lengths around the word boundaries and several bit patterns.
+func TestBitmapRangeOpsMatchPerBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{1, 63, 64, 65, 130, 512} {
+		words := (n + 63) / 64
+		patterns := [][]uint64{make([]uint64, words), make([]uint64, words)}
+		for range 2 {
+			p := make([]uint64, words)
+			for w := range p {
+				p[w] = rng.Uint64()
+			}
+			patterns = append(patterns, p)
+		}
+		for w := range patterns[1] {
+			patterns[1][w] = ^uint64(0)
+		}
+		orig, in, got, ref := NewBitmap(n), NewBitmap(n), NewBitmap(n), NewBitmap(n)
+		for _, pat := range patterns {
+			if n%64 != 0 { // keep bits past n zero, as Set never touches them
+				pat[words-1] &= 1<<(uint(n)%64) - 1
+			}
+			copy(orig.words, pat)
+			for lo := 0; lo <= n; lo++ {
+				for hi := lo; hi <= n; hi++ {
+					in.Reset()
+					want := 0
+					for i := lo; i < hi; i++ {
+						in.Set(i)
+						if orig.Get(i) {
+							want++
+						}
+					}
+					if c := orig.CountRange(lo, hi); c != want {
+						t.Fatalf("n=%d [%d,%d) pattern %x: CountRange = %d, per-bit %d", n, lo, hi, pat, c, want)
+					}
+					for _, set := range []bool{true, false} {
+						copy(got.words, pat)
+						copy(ref.words, pat)
+						op := "ClearRange"
+						if set {
+							op = "SetRange"
+							got.SetRange(lo, hi)
+							for i := lo; i < hi; i++ {
+								ref.Set(i)
+							}
+						} else {
+							got.ClearRange(lo, hi)
+							for i := lo; i < hi; i++ {
+								ref.Clear(i)
+							}
+						}
+						for w := range got.words {
+							if got.words[w] != ref.words[w] {
+								t.Fatalf("n=%d [%d,%d) pattern %x: %s word %d = %x, per-bit %x", n, lo, hi, pat, op, w, got.words[w], ref.words[w])
+							}
+							if (got.words[w]^pat[w])&^in.words[w] != 0 {
+								t.Fatalf("n=%d [%d,%d) pattern %x: %s touched bits outside the range in word %d", n, lo, hi, pat, op, w)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

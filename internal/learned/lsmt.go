@@ -1,6 +1,9 @@
 package learned
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // LSMT is LeaFTL's log-structured mapping table (§II-C): learned segments
 // organized in levels. New segments enter level 0; existing segments they
@@ -45,19 +48,32 @@ func (t *LSMT) insertAt(level int, seg Segment) {
 	for j < len(lv) && lv[j].S < hi {
 		j++
 	}
-	evicted := make([]Segment, j-i)
-	copy(evicted, lv[i:j])
-	// Splice seg in place of the evicted run.
-	nlv := make([]Segment, 0, len(lv)-(j-i)+1)
-	nlv = append(nlv, lv[:i]...)
-	nlv = append(nlv, seg)
-	nlv = append(nlv, lv[j:]...)
-	t.levels[level] = nlv
-	t.nseg++
-	for _, ev := range evicted {
-		t.nseg--
+	// Push the overlapped run down first: deeper inserts never touch this
+	// level, so lv[i:j] is still intact while it is read.
+	for _, ev := range lv[i:j] {
 		t.insertAt(level+1, ev)
 	}
+	t.nseg += 1 - (j - i)
+	// Splice seg in place of the run.
+	if j == i && len(lv) == cap(lv) {
+		nlv := make([]Segment, len(lv)+1, len(lv)+1+len(lv)/8)
+		copy(nlv, lv[:i])
+		nlv[i] = seg
+		copy(nlv[i+1:], lv[i:])
+		lv = nlv
+	} else {
+		lv = slices.Replace(lv, i, j, seg)
+	}
+	t.levels[level] = clip(lv)
+}
+
+// clip reallocates a level whose spare capacity exceeds a quarter of its
+// length, so levels that shrink do not pin their peak backing arrays.
+func clip(lv []Segment) []Segment {
+	if cap(lv)-len(lv) > len(lv)/4+1 {
+		return slices.Clone(lv)
+	}
+	return lv
 }
 
 // Lookup returns the newest segment covering lpn, scanning levels top-down.
@@ -100,8 +116,10 @@ func (t *LSMT) ImportLevels(levels [][]Segment) {
 func (t *LSMT) CompactShadowed() int {
 	dropped := 0
 	for li := 1; li < len(t.levels); li++ {
-		var keep []Segment
-		for _, s := range t.levels[li] {
+		// Filtering in place is safe: shadowed reads only levels above li.
+		lv := t.levels[li]
+		keep := lv[:0]
+		for _, s := range lv {
 			if t.shadowed(s, li) {
 				dropped++
 				t.nseg--
@@ -109,7 +127,7 @@ func (t *LSMT) CompactShadowed() int {
 				keep = append(keep, s)
 			}
 		}
-		t.levels[li] = keep
+		t.levels[li] = clip(keep)
 	}
 	// Trim empty tail levels.
 	for len(t.levels) > 0 && len(t.levels[len(t.levels)-1]) == 0 {

@@ -2,6 +2,8 @@ package learned
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -124,6 +126,129 @@ func TestLSMTRecencyProperty(t *testing.T) {
 			}
 			if !ok || s.I != newest[k] {
 				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// refLSMT is the allocating LSMT write path the in-place splice replaced,
+// kept verbatim as the reference for TestLSMTMatchesReferenceProperty:
+// insertAt copies the evicted run and rebuilds the level on every insert,
+// CompactShadowed rebuilds every level from scratch. Lookups, snapshots and
+// shadowed are the production LSMT's.
+type refLSMT struct{ LSMT }
+
+func (t *refLSMT) Insert(segs []Segment) {
+	for _, s := range segs {
+		t.insertAt(0, s)
+	}
+}
+
+func (t *refLSMT) insertAt(level int, seg Segment) {
+	if level == len(t.levels) {
+		t.levels = append(t.levels, nil)
+	}
+	lv := t.levels[level]
+	lo := seg.S
+	hi := seg.S + int64(seg.L)
+	// Find overlapping run [i, j).
+	i := sort.Search(len(lv), func(k int) bool { return lv[k].S+int64(lv[k].L) > lo })
+	j := i
+	for j < len(lv) && lv[j].S < hi {
+		j++
+	}
+	evicted := make([]Segment, j-i)
+	copy(evicted, lv[i:j])
+	// Splice seg in place of the evicted run.
+	nlv := make([]Segment, 0, len(lv)-(j-i)+1)
+	nlv = append(nlv, lv[:i]...)
+	nlv = append(nlv, seg)
+	nlv = append(nlv, lv[j:]...)
+	t.levels[level] = nlv
+	t.nseg++
+	for _, ev := range evicted {
+		t.nseg--
+		t.insertAt(level+1, ev)
+	}
+}
+
+func (t *refLSMT) CompactShadowed() int {
+	dropped := 0
+	for li := 1; li < len(t.levels); li++ {
+		var keep []Segment
+		for _, s := range t.levels[li] {
+			if t.shadowed(s, li) {
+				dropped++
+				t.nseg--
+			} else {
+				keep = append(keep, s)
+			}
+		}
+		t.levels[li] = keep
+	}
+	// Trim empty tail levels.
+	for len(t.levels) > 0 && len(t.levels[len(t.levels)-1]) == 0 {
+		t.levels = t.levels[:len(t.levels)-1]
+	}
+	return dropped
+}
+
+// randSegments returns 1–8 sorted, non-overlapping segments with keys in
+// one 512-LPN page and spans of 1–256; each carries a unique intercept so a
+// misplaced segment cannot compare equal.
+func randSegments(rng *rand.Rand, id *float64) []Segment {
+	var out []Segment
+	pos := int64(rng.Intn(512))
+	for k := 1 + rng.Intn(8); k > 0 && pos < 512; k-- {
+		l := min(int64(1+rng.Intn(256)), 512-pos)
+		*id++
+		out = append(out, Segment{S: pos, L: int32(l), K: rng.Float64(), I: *id, Err: int32(rng.Intn(5))})
+		pos += l + int64(rng.Intn(64))
+	}
+	return out
+}
+
+// Property: the in-place LSMT and the allocating reference hold the same
+// levels and segment count after every Insert and CompactShadowed, and no
+// level keeps more spare capacity than the clip rule allows.
+func TestLSMTMatchesReferenceProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var id float64
+		lt, ref := NewLSMT(), &refLSMT{}
+		if seed%4 == 0 {
+			// Start from imported levels, as a restored snapshot does.
+			var levels [][]Segment
+			for range 1 + rng.Intn(4) {
+				levels = append(levels, randSegments(rng, &id))
+			}
+			lt.ImportLevels(levels)
+			ref.ImportLevels(levels)
+		}
+		for op := 0; op < 200; op++ {
+			if rng.Intn(16) == 0 {
+				if a, b := lt.CompactShadowed(), ref.CompactShadowed(); a != b {
+					t.Logf("seed %d op %d: CompactShadowed dropped %d, reference %d", seed, op, a, b)
+					return false
+				}
+			} else {
+				segs := randSegments(rng, &id)
+				lt.Insert(segs)
+				ref.Insert(segs)
+			}
+			if !reflect.DeepEqual(lt.ExportLevels(), ref.ExportLevels()) || lt.NumSegments() != ref.NumSegments() {
+				t.Logf("seed %d op %d: levels\n%v\nreference\n%v", seed, op, lt.ExportLevels(), ref.ExportLevels())
+				return false
+			}
+			for li, lv := range lt.levels {
+				if cap(lv)-len(lv) > len(lv)/4+1 {
+					t.Logf("seed %d op %d: level %d len %d cap %d", seed, op, li, len(lv), cap(lv))
+					return false
+				}
 			}
 		}
 		return true

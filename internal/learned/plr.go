@@ -126,11 +126,14 @@ func FitExactCapped(pts []Point, maxPieces int) (kept []Piece, covered int) {
 // (paper §II-C): it indexes LPNs in [S, S+L-1] with the model
 // VPPN = K·(LPN-S) + I, guaranteeing |prediction − actual| ≤ Err for the
 // points it was trained on. Err == 0 marks an accurate segment.
+//
+// The field order keeps the two int32s adjacent, packing the struct into 32
+// bytes instead of 40: resident segments dominate LeaFTL's heap.
 type Segment struct {
 	S   int64   // starting LPN
-	L   int32   // covered span: LPNs S .. S+L-1
 	K   float64 // slope
 	I   float64 // intercept at S
+	L   int32   // covered span: LPNs S .. S+L-1
 	Err int32   // max training error after rounding
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestFitExactSingleLine(t *testing.T) {
@@ -217,5 +218,15 @@ func TestSegmentContains(t *testing.T) {
 		if got := s.Contains(lpn); got != want {
 			t.Errorf("Contains(%d) = %v, want %v", lpn, got, want)
 		}
+	}
+}
+
+// TestSegmentSize pins Segment's packed layout. LeaFTL's resident segments
+// dominate its heap, so the field order keeps the two int32s adjacent:
+// S, K, I, L, Err is 32 bytes where the paper's S, L, K, I, Err order pads
+// to 40.
+func TestSegmentSize(t *testing.T) {
+	if got := unsafe.Sizeof(Segment{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Segment{}) = %d, want 32", got)
 	}
 }
