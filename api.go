@@ -383,8 +383,8 @@ func RunExperiments(ids []string, cfg Config, b Budget) ([]BenchResult, error) {
 			return nil, fmt.Errorf("learnedftl: unknown experiment %q", id)
 		}
 		b.warm = &warmAccum{}
-		b.obs = &obsAccum{}
-		b.fleet = &fleetAccum{}
+		b.obs = &cellAccum[ObsCell]{}
+		b.fleet = &cellAccum[FleetCell]{}
 		start := time.Now()
 		tab, err := run(cfg, b)
 		if err != nil {

@@ -117,8 +117,8 @@ type Budget struct {
 	// latbreak's per-cell phase breakdowns, and fleet the fleet
 	// experiment's per-cell array-level aggregates, for the BENCH JSON.
 	warm  *warmAccum
-	obs   *obsAccum
-	fleet *fleetAccum
+	obs   *cellAccum[ObsCell]
+	fleet *cellAccum[FleetCell]
 }
 
 // WarmStats summarizes one device warm-up: deterministic simulated cost
@@ -155,6 +155,48 @@ func (a *warmAccum) snapshot() (programs int64, seconds float64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.programs, a.seconds
+}
+
+// cellAccum collects per-cell records across an experiment's concurrent
+// cells, keyed by cell index so assembly order is deterministic. A nil
+// accumulator drops every record.
+type cellAccum[T any] struct {
+	mu    sync.Mutex
+	cells map[int]T
+}
+
+func (a *cellAccum[T]) add(i int, c T) {
+	if a == nil {
+		return
+	}
+	a.mu.Lock()
+	if a.cells == nil {
+		a.cells = make(map[int]T)
+	}
+	a.cells[i] = c
+	a.mu.Unlock()
+}
+
+// snapshot returns the records in cell-index order, or nil if none.
+func (a *cellAccum[T]) snapshot() []T {
+	if a == nil {
+		return nil
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if len(a.cells) == 0 {
+		return nil
+	}
+	idx := make([]int, 0, len(a.cells))
+	for i := range a.cells {
+		idx = append(idx, i)
+	}
+	sort.Ints(idx)
+	out := make([]T, len(idx))
+	for k, i := range idx {
+		out[k] = a.cells[i]
+	}
+	return out
 }
 
 // gcPolicyList resolves the budget's policy subset, erroring on typos so a

@@ -9,7 +9,6 @@ package learnedftl
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"learnedftl/internal/fleet"
 	"learnedftl/internal/nand"
@@ -141,49 +140,6 @@ type FleetCell struct {
 	RebuiltUnits  int64                `json:"rebuilt_units,omitempty"`
 	PendingUnits  int64                `json:"pending_units,omitempty"`
 	Tenants       []stats.StreamReport `json:"tenants,omitempty"`
-}
-
-// fleetAccum collects FleetCells across the experiment's concurrent cells,
-// indexed so assembly order is deterministic (the obsAccum idiom).
-type fleetAccum struct {
-	mu    sync.Mutex
-	cells map[int]FleetCell
-}
-
-func (a *fleetAccum) add(i int, c FleetCell) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	if a.cells == nil {
-		a.cells = make(map[int]FleetCell)
-	}
-	a.cells[i] = c
-	a.mu.Unlock()
-}
-
-func (a *fleetAccum) snapshot() []FleetCell {
-	if a == nil {
-		return nil
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(a.cells) == 0 {
-		return nil
-	}
-	max := 0
-	for i := range a.cells {
-		if i > max {
-			max = i
-		}
-	}
-	out := make([]FleetCell, 0, len(a.cells))
-	for i := 0; i <= max; i++ {
-		if c, ok := a.cells[i]; ok {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // fleetPolicyList resolves the budget's placement subset, erroring on

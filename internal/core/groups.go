@@ -318,9 +318,7 @@ func (f *LearnedFTL) gcGroup(gid int, now nand.Time) nand.Time {
 			panic(fmt.Sprintf("core: GC left row %d unerasable", row))
 		}
 	}
-	f.col.RecordGC(now, moved, t-now)
-	cnt := f.fl.Counters()
-	f.col.RecordWASample(t, cnt.TotalPrograms())
+	f.col.RecordGC(moved, t-now)
 	if tr != nil {
 		tr.ExitGC(t)
 	}

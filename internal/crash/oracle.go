@@ -8,7 +8,7 @@ import (
 // Oracle is the durability oracle: it records, per LPN, what a host that
 // saw every acknowledgment could rightfully expect after a crash — mapped
 // for an acked write, unmapped for an acked trim, last acknowledgment
-// winning. It plugs into either engine as an ack sink (sim.AckFunc).
+// winning. It plugs into either host model as an ack sink (sim.AckFunc).
 //
 // The expectation is conservative on overwrites: an acked overwrite's LPN
 // must still resolve to *a* page holding its key after recovery, but the
@@ -83,12 +83,9 @@ func (o *Oracle) Indeterminate(lpn int64) bool { return o.inflight[lpn] > 0 }
 func (o *Oracle) AckedWrites() int64 { return o.writes }
 
 // Tap wraps a generator so every fetched request registers with the
-// oracle before the engine can issue it. The closed loop fetches each
-// request immediately before issuing; the open loop prefetches one per
-// stream — either way, whatever is fetched and unacked when power dies is
-// (a superset of) the in-flight work, and exempting a prefetched request
-// that never started only weakens the check for its LPNs, never produces
-// a false verdict.
+// oracle before the engine can issue it. Both host models pull a request
+// only when they issue it, so whatever is fetched and unacked when power
+// dies is exactly the in-flight work.
 func (o *Oracle) Tap(gen sim.Generator) sim.Generator {
 	return sim.GenFunc(func() (sim.Request, bool) {
 		req, ok := gen.Next()

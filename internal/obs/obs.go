@@ -235,7 +235,6 @@ type Tracer struct {
 	totalSum      nand.Time
 	phaseSum      [NumPhases]nand.Time
 	totalHist     Histogram
-	phaseHist     [NumPhases]Histogram
 
 	// topK is a min-heap on Total of the largest spans seen.
 	topK []SpanRecord
@@ -334,9 +333,6 @@ func (t *Tracer) finish(s SpanRecord, total nand.Time) {
 	t.totalHist.Add(int64(total))
 	for p := Phase(0); p < NumPhases; p++ {
 		t.phaseSum[p] += s.Phases[p]
-		if s.Phases[p] > 0 {
-			t.phaseHist[p].Add(int64(s.Phases[p]))
-		}
 	}
 	t.pushTop(s)
 }
@@ -469,12 +465,6 @@ func (t *Tracer) Requests() int64 { return t.reads + t.writes }
 
 // PhaseSum returns the accumulated time in phase p over all spans.
 func (t *Tracer) PhaseSum(p Phase) nand.Time { return t.phaseSum[p] }
-
-// TotalHist returns the histogram of span totals.
-func (t *Tracer) TotalHist() *Histogram { return &t.totalHist }
-
-// PhaseHist returns the histogram of non-zero per-span times in phase p.
-func (t *Tracer) PhaseHist(p Phase) *Histogram { return &t.phaseHist[p] }
 
 // Breakdown freezes the aggregates, deriving the P99.9 tail decomposition
 // from the top-K set.

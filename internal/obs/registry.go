@@ -21,8 +21,8 @@ type metric struct {
 }
 
 // Registry samples named counters/gauges on a virtual-time ticker into
-// bounded windowed series. It generalizes the ad-hoc WA-over-time sampling:
-// any int64-valued source registers a closure; the tracer ticks the
+// bounded windowed series. Any int64-valued source (write amplification,
+// GC count, ...) registers a closure; the tracer ticks the
 // registry as virtual time advances (request and flash-op completions), and
 // each metric is sampled once per interval. When a series hits its cap it
 // is decimated (every other sample dropped) and the interval doubles, so

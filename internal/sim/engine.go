@@ -1,10 +1,11 @@
-// Package sim is the event-driven host layer of the simulator. Two host
-// models share one event core (event.go):
+// Package sim is the event-driven host layer of the simulator. One engine
+// body (runOpenLoop, openloop.go) serves two host models:
 //
 //   - The closed-loop model (Run) reproduces FIO's psync engine, the way the
 //     paper drives FEMU: each logical thread keeps exactly one request
 //     outstanding, issuing the next one the moment the previous completes.
 //     Offered load is whatever the device sustains — the saturation view.
+//     Each thread runs as an open-loop stream with unbounded arrivals.
 //
 //   - The open-loop model (RunOpen) reproduces what a rate-controlled
 //     service sees: requests arrive on their own schedule (Poisson or fixed
@@ -12,8 +13,12 @@
 //     ready, queue when it falls behind, and decompose their latency into
 //     queue wait plus device service.
 //
-// In both models parallelism across sources emerges from per-chip
-// scheduling inside the flash array, and all scheduling is deterministic.
+// The entry point picks what the body records: nothing (Warmed), device
+// service time (Run, RunAcked), or queue wait plus service per stream
+// (RunOpen, RunOpenWith, RunOpenTarget). The body pulls a source's next
+// request from its generator only when it issues it. Parallelism across
+// sources emerges from per-chip scheduling inside the flash array, and all
+// scheduling is deterministic.
 package sim
 
 import (
@@ -31,7 +36,9 @@ type Request struct {
 }
 
 // Generator produces the request stream of one thread. Next returns false
-// when the thread has no more work.
+// when the thread has no more work. The engine calls Next only when it
+// issues that request, in schedule order, so a generator is never asked for
+// a request the run does not issue.
 type Generator interface {
 	Next() (Request, bool)
 }
@@ -62,7 +69,7 @@ func (r Result) Makespan() nand.Time { return r.End - r.Start }
 // index), so a T-thread closed loop schedules each request in O(log T)
 // instead of the O(T) linear scan a naive implementation would need.
 func Run(f ftl.FTL, gens []Generator, maxRequests int64) Result {
-	return runLoop(f, gens, maxRequests, true, nil)
+	return runClosed(f, gens, maxRequests, recClosed, nil)
 }
 
 // AckFunc receives every request the engine completed, with the completion
@@ -76,83 +83,7 @@ type AckFunc func(req Request, done nand.Time)
 // (the engine's deterministic execution order), after the FTL has fully
 // processed the request.
 func RunAcked(f ftl.FTL, gens []Generator, maxRequests int64, ack AckFunc) Result {
-	return runLoop(f, gens, maxRequests, true, ack)
-}
-
-// runLoop is the engine body shared by Run and Warmed. record=false skips
-// the per-request latency records — invisible to a Warmed caller, whose
-// collector is reset right after, but it keeps the warm-up hot path off
-// the collector entirely.
-//
-// Batched event processing: after a request completes, if the same
-// source's next event still precedes everything in the heap — always true
-// for a single-generator warm-up, and common whenever one thread runs
-// ahead — the loop continues on that source directly, skipping the
-// push+pop pair. The (time, index) order of processed events is exactly
-// the heap order, so results are byte-identical (pinned against the frozen
-// linear reference in sched_test.go).
-func runLoop(f ftl.FTL, gens []Generator, maxRequests int64, record bool, ack AckFunc) Result {
-	start := f.Flash().MaxChipBusy()
-	h := newEventHeap(len(gens), start)
-	col := f.Collector()
-	tr := col.Tracer()
-	if !record {
-		// Warm-up phases are not attributed: spans belong to the measured
-		// phase only, like the latency records themselves.
-		tr = nil
-	}
-	var issued int64
-	end := start
-	for h.len() > 0 {
-		if maxRequests > 0 && issued >= maxRequests {
-			break
-		}
-		th, now := h.pop()
-		for {
-			req, ok := gens[th].Next()
-			if !ok {
-				// Thread exhausted: retire it by not re-inserting.
-				break
-			}
-			if tr != nil && !req.Trim {
-				tr.BeginReq(req.Write, now, 0)
-			}
-			done, pages := issue(f, req, now)
-			if record {
-				switch {
-				case req.Trim:
-					// The FTL's TrimPages already counted the trim; a
-					// metadata op joins no latency population.
-				case req.Write:
-					col.RecordWrite(done-now, pages)
-				default:
-					col.RecordRead(done-now, pages)
-				}
-			}
-			if tr != nil && !req.Trim {
-				tr.EndReq(done)
-			}
-			if ack != nil {
-				ack(req, done)
-			}
-			if done > end {
-				end = done
-			}
-			issued++
-			if maxRequests > 0 && issued >= maxRequests {
-				break
-			}
-			if h.len() > 0 {
-				at, idx := h.peek()
-				if done > at || (done == at && int32(th) > idx) {
-					h.push(th, done)
-					break
-				}
-			}
-			now = done
-		}
-	}
-	return Result{Start: start, End: end, Requests: issued}
+	return runClosed(f, gens, maxRequests, recClosed, ack)
 }
 
 // Warmed runs a warm-up phase and then resets all metrics so a subsequent
@@ -161,8 +92,35 @@ func runLoop(f ftl.FTL, gens []Generator, maxRequests int64, record bool, ack Ac
 // phase's own result (virtual span, requests issued) — the collector's
 // view of it is gone after the reset.
 func Warmed(f ftl.FTL, warm []Generator, maxRequests int64) Result {
-	r := runLoop(f, warm, maxRequests, false, nil)
+	r := runClosed(f, warm, maxRequests, recNone, nil)
 	f.Collector().Reset()
 	f.Flash().ResetCounters()
 	return r
+}
+
+// recMode selects what the engine body records per request. The entry
+// point chooses it; no caller can.
+type recMode uint8
+
+const (
+	// recNone records nothing and leaves the tracer off: a warm-up phase,
+	// whose collector is reset right after, stays off the collector
+	// entirely.
+	recNone recMode = iota
+	// recClosed records device service time with RecordRead/RecordWrite,
+	// and registers no streams.
+	recClosed
+	// recQueued records queue wait plus service per stream with
+	// RecordQueued.
+	recQueued
+)
+
+// runClosed runs closed-loop threads as unnamed unbounded-arrival streams:
+// each thread's next event is its previous completion.
+func runClosed(f ftl.FTL, gens []Generator, maxRequests int64, rec recMode, ack AckFunc) Result {
+	streams := make([]Stream, len(gens))
+	for i, g := range gens {
+		streams[i].Gen = g
+	}
+	return runOpenLoop(ftlTarget{f}, streams, maxRequests, nil, ack, rec)
 }

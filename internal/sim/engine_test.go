@@ -237,3 +237,32 @@ func TestWarmedReturnsResult(t *testing.T) {
 		t.Fatal("Warmed did not reset flash counters")
 	}
 }
+
+// TestRunAllocsIndependentOfThreads: a run allocates a constant number of
+// objects for its scheduling state, however many threads it drives — never
+// one per thread or per request.
+func TestRunAllocsIndependentOfThreads(t *testing.T) {
+	f, err := ftl.NewIdeal(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	Run(f, []Generator{seqGen(0, 128, true)}, 0) // map the pages read below
+	allocs := func(threads int) float64 {
+		gens := make([]Generator, threads)
+		for i := range gens {
+			lpn := int64(i)
+			gens[i] = GenFunc(func() (Request, bool) {
+				lpn = (lpn + 1) % 128
+				return Request{LPN: lpn, Pages: 1}, true
+			})
+		}
+		return testing.AllocsPerRun(10, func() {
+			f.Collector().Reset()
+			Run(f, gens, 2000)
+		})
+	}
+	few, many := allocs(4), allocs(256)
+	if many != few || few > 5 {
+		t.Fatalf("allocs per run: %v at 4 threads, %v at 256; want equal and at most 5", few, many)
+	}
+}

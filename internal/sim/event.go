@@ -5,14 +5,13 @@ import (
 	"learnedftl/internal/nand"
 )
 
-// This file is the shared event core of the two host models. Both the
-// closed-loop engine (engine.go) and the open-loop engine (openloop.go)
-// drive the device the same way: an index min-heap orders request sources by
-// their next event time, and issue() executes one request against the FTL at
-// a virtual timestamp. Only the definition of "next event time" differs —
-// completion of the previous request for a closed-loop thread, the later of
-// arrival and completion for an open-loop stream — so the host models stay
-// thin policies over this core.
+// This file is the event core under the one engine body (runOpenLoop in
+// openloop.go): an index min-heap orders request sources by their next
+// service start, and issue() executes one request against the FTL at a
+// virtual timestamp. A closed-loop thread is a source whose next service
+// start is its previous completion; an open-loop stream's is the later of
+// its next arrival and that completion. The recording mode, chosen by the
+// entry point, is the only other difference between the host models.
 
 // issue executes one host request against f at virtual time now and returns
 // the completion time plus the normalized page count. The completion is
@@ -49,9 +48,9 @@ func issue(f ftl.FTL, req Request, now nand.Time) (done nand.Time, pages int) {
 
 // eventHeap is an index min-heap over request sources (closed-loop threads
 // or open-loop streams), ordered by (event time, source index). The
-// secondary index ordering gives both host models their deterministic
-// tie-break: among sources eventing at the same virtual time, the
-// lowest-indexed one goes first.
+// secondary index ordering is the engine's deterministic tie-break: among
+// sources eventing at the same virtual time, the lowest-indexed one goes
+// first.
 //
 // The heap is slice-backed and capacity-bounded (one slot per source), so a
 // full run schedules with zero heap allocations after construction.
@@ -60,9 +59,9 @@ type eventHeap struct {
 	idx []int32     // source index per heap slot
 }
 
-// newEventHeap returns a heap seeded with sources 0..n-1 all eventing at t
-// (n may be 0 for callers that push sources individually). Equal keys make
-// the slice heap-ordered as built, so no sifting is needed.
+// newEventHeap returns a heap seeded with sources 0..n-1 all eventing at t.
+// Equal keys make the slice heap-ordered as built, so no sifting is
+// needed.
 func newEventHeap(n int, t nand.Time) *eventHeap {
 	h := &eventHeap{at: make([]nand.Time, n), idx: make([]int32, n)}
 	for i := 0; i < n; i++ {
@@ -86,10 +85,6 @@ func (h *eventHeap) swap(a, b int) {
 	h.at[a], h.at[b] = h.at[b], h.at[a]
 	h.idx[a], h.idx[b] = h.idx[b], h.idx[a]
 }
-
-// peek returns the earliest-eventing source's key without removing it.
-// Only call with len() > 0.
-func (h *eventHeap) peek() (at nand.Time, idx int32) { return h.at[0], h.idx[0] }
 
 // pop removes and returns the earliest-eventing source.
 func (h *eventHeap) pop() (source int, at nand.Time) {

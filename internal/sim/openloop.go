@@ -76,7 +76,7 @@ type Stream struct {
 	Seed int64
 }
 
-// olStream is the engine-side state of one open-loop stream.
+// olStream is the engine-side state of one stream.
 type olStream struct {
 	gen    Generator
 	kind   ArrivalKind
@@ -84,20 +84,15 @@ type olStream struct {
 	rng    *rand.Rand
 
 	start   nand.Time
-	clockNS float64   // arrival offset of the fetched request, ns since start
-	arrival nand.Time // arrival time of the fetched request
-	req     Request   // fetched but not yet issued request
+	clockNS float64   // arrival offset of the next request, ns since start
+	arrival nand.Time // arrival time of the next request
 	ready   nand.Time // completion time of the stream's previous request
 }
 
-// fetch pulls the stream's next request and stamps its arrival time.
-// It returns false when the generator is exhausted.
-func (s *olStream) fetch() bool {
-	req, ok := s.gen.Next()
-	if !ok {
-		return false
-	}
-	s.req = req
+// stamp sets the arrival time of the stream's next request and advances
+// the arrival clock past it. The request itself is pulled from the
+// generator only when the engine issues it.
+func (s *olStream) stamp() {
 	s.arrival = s.start + nand.Time(math.Round(s.clockNS))
 	switch s.kind {
 	case ArrivalFixed:
@@ -105,7 +100,6 @@ func (s *olStream) fetch() bool {
 	case ArrivalPoisson:
 		s.clockNS += s.rng.ExpFloat64() * s.meanNS
 	}
-	return true
 }
 
 // OpenOptions tune an open-loop run beyond the stream definitions.
@@ -153,13 +147,7 @@ func RunOpen(f ftl.FTL, streams []Stream, maxRequests int64) Result {
 
 // RunOpenWith is RunOpen with explicit options (background GC).
 func RunOpenWith(f ftl.FTL, streams []Stream, opt OpenOptions) Result {
-	var bg func(start, deadline nand.Time)
-	if opt.BackgroundGC {
-		if b, ok := f.(ftl.BackgroundCollector); ok {
-			bg = func(start, deadline nand.Time) { b.BackgroundGC(start, deadline) }
-		}
-	}
-	return runOpenLoop(ftlTarget{f}, streams, opt.MaxRequests, bg, opt.AckSink)
+	return RunOpenTarget(ftlTarget{f}, streams, opt)
 }
 
 // OpenTarget is what the open-loop host model drives: a single FTL device
@@ -184,8 +172,8 @@ type OpenTarget interface {
 }
 
 // ftlTarget adapts a single ftl.FTL to the OpenTarget shape. Its Issue is
-// exactly the shared issue() path, so RunOpenWith over the adapter is
-// byte-identical to the pre-refactor single-device loop.
+// exactly the shared issue() path; every single-device entry point (Run,
+// RunAcked, Warmed, RunOpen, RunOpenWith) drives the engine through it.
 type ftlTarget struct{ f ftl.FTL }
 
 func (t ftlTarget) Issue(req Request, now nand.Time) (nand.Time, int) {
@@ -210,25 +198,43 @@ func RunOpenTarget(t OpenTarget, streams []Stream, opt OpenOptions) Result {
 	if opt.BackgroundGC {
 		bg = t.BackgroundWork
 	}
-	return runOpenLoop(t, streams, opt.MaxRequests, bg, opt.AckSink)
+	return runOpenLoop(t, streams, opt.MaxRequests, bg, opt.AckSink, recQueued)
 }
 
-// runOpenLoop is the shared open-loop engine body (see RunOpen for the
-// semantics). bg, when non-nil, is offered the idle gap before each
-// service start whose target drain time precedes it.
-func runOpenLoop(t OpenTarget, streams []Stream, maxRequests int64, bg func(start, deadline nand.Time), ack AckFunc) Result {
+// runOpenLoop is the one engine body (see RunOpen for the semantics).
+// bg, when non-nil, is offered the idle gap before each service start
+// whose target drain time precedes it; rec selects what is recorded.
+//
+// Each stream sits in the event heap keyed by its next service start,
+// max(arrival, previous completion). Its next request is pulled from the
+// generator only when the stream is popped to issue it, so a closed-loop
+// thread sees exactly the call sequence of a thread-at-a-time loop and no
+// generator is asked for a request the run does not issue.
+func runOpenLoop(t OpenTarget, streams []Stream, maxRequests int64,
+	bg func(start, deadline nand.Time), ack AckFunc, rec recMode) Result {
 	start := t.Busy()
 	col := t.Collector()
-	names := make([]string, len(streams))
-	for i, s := range streams {
-		names[i] = s.Name
+	tr := col.Tracer()
+	switch rec {
+	case recNone:
+		// Warm-up phases are not attributed: spans belong to the measured
+		// phase only, like the latency records themselves.
+		tr = nil
+	case recQueued:
+		names := make([]string, len(streams))
+		for i, s := range streams {
+			names[i] = s.Name
+		}
+		col.DefineStreams(names)
 	}
-	col.DefineStreams(names)
 
-	states := make([]*olStream, len(streams))
-	h := newEventHeap(0, start)
+	// Every stream's first arrival is at start (its arrival clock begins at
+	// 0), so the heap starts seeded with all streams at start.
+	states := make([]olStream, len(streams))
+	h := newEventHeap(len(streams), start)
 	for i, s := range streams {
-		st := &olStream{gen: s.Gen, kind: s.Kind, start: start, ready: start}
+		st := &states[i]
+		*st = olStream{gen: s.Gen, kind: s.Kind, start: start, ready: start}
 		if s.Rate <= 0 {
 			st.kind = ArrivalUnbounded
 		}
@@ -239,13 +245,9 @@ func runOpenLoop(t OpenTarget, streams []Stream, maxRequests int64, bg func(star
 			st.meanNS = float64(nand.Second) / s.Rate
 			st.rng = rand.New(rand.NewSource(s.Seed))
 		}
-		states[i] = st
-		if st.fetch() {
-			h.push(i, max(st.arrival, st.ready))
-		}
+		st.stamp()
 	}
 
-	tr := col.Tracer()
 	var issued int64
 	end := start
 	for h.len() > 0 {
@@ -253,7 +255,13 @@ func runOpenLoop(t OpenTarget, streams []Stream, maxRequests int64, bg func(star
 			break
 		}
 		i, now := h.pop()
-		st := states[i]
+		st := &states[i]
+		req, ok := st.gen.Next()
+		if !ok {
+			// Stream exhausted: retire it by not re-inserting, before it
+			// can offer an idle gap to background work.
+			continue
+		}
 		if bg != nil {
 			// The target drains before the next service start: offer the
 			// idle gap to its background work source (GC, rebuild). Work it
@@ -275,30 +283,35 @@ func runOpenLoop(t OpenTarget, streams []Stream, maxRequests int64, bg func(star
 			// schedule identically to.
 			wait = 0
 		}
-		if tr != nil && !st.req.Trim {
-			tr.BeginReq(st.req.Write, now, wait)
+		if tr != nil && !req.Trim {
+			tr.BeginReq(req.Write, now, wait)
 		}
-		done, pages := t.Issue(st.req, now)
-		if st.req.Trim {
-			// TrimPages counted the trim inside the FTL; metadata ops
-			// join no latency population.
-		} else {
-			col.RecordQueued(i, st.req.Write, wait, done-now, pages)
+		done, pages := t.Issue(req, now)
+		// A trim joins no latency population: TrimPages counted it inside
+		// the FTL.
+		if !req.Trim {
+			switch rec {
+			case recQueued:
+				col.RecordQueued(i, req.Write, wait, done-now, pages)
+			case recClosed:
+				if req.Write {
+					col.RecordWrite(done-now, pages)
+				} else {
+					col.RecordRead(done-now, pages)
+				}
+			}
 			if tr != nil {
 				tr.EndReq(done)
 			}
 		}
 		if ack != nil {
-			ack(st.req, done)
+			ack(req, done)
 		}
 		st.ready = done
-		if done > end {
-			end = done
-		}
+		end = max(end, done)
 		issued++
-		if st.fetch() {
-			h.push(i, max(st.arrival, st.ready))
-		}
+		st.stamp()
+		h.push(i, max(st.arrival, st.ready))
 	}
 	return Result{Start: start, End: end, Requests: issued}
 }

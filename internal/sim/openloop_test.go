@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"learnedftl/internal/ftl"
@@ -312,5 +315,332 @@ func TestRateZeroStreamDegradesToUnboundedAccounting(t *testing.T) {
 	}, 0)
 	if w := f.Collector().QueueWaitShare(); w != 0 {
 		t.Fatalf("rate-0 stream accumulated wait share %.3f, want 0", w)
+	}
+}
+
+// countingGen wraps g so every request it hands out is counted in *pulled.
+func countingGen(g Generator, pulled *int64) Generator {
+	return GenFunc(func() (Request, bool) {
+		req, ok := g.Next()
+		if ok {
+			*pulled++
+		}
+		return req, ok
+	})
+}
+
+// TestGeneratorPulledOnlyWhenIssued: every entry point asks its generators
+// for exactly the requests it issues — none fetched ahead, none left
+// pulled-but-unissued when a cap ends the run. The crash oracle's in-flight
+// set depends on it: whatever a generator handed out and the engine has not
+// acked is treated as in flight at a power cut.
+func TestGeneratorPulledOnlyWhenIssued(t *testing.T) {
+	cfg := testConfig()
+	lp := int64(cfg.LogicalPages())
+	const threads = 16
+	streamsOf := func(kind ArrivalKind, gens []Generator) []Stream {
+		streams := make([]Stream, len(gens))
+		for i, g := range gens {
+			streams[i] = Stream{Name: "s", Gen: g, Kind: kind, Rate: 20000, Seed: 300 + int64(i)}
+		}
+		return streams
+	}
+	runs := []struct {
+		name string
+		run  func(f ftl.FTL, gens []Generator, max int64) Result
+	}{
+		{"Run", Run},
+		{"RunAcked", func(f ftl.FTL, gens []Generator, max int64) Result {
+			return RunAcked(f, gens, max, func(Request, nand.Time) {})
+		}},
+		{"Warmed", Warmed},
+		{"RunOpen/poisson", func(f ftl.FTL, gens []Generator, max int64) Result {
+			return RunOpen(f, streamsOf(ArrivalPoisson, gens), max)
+		}},
+		{"RunOpen/fixed", func(f ftl.FTL, gens []Generator, max int64) Result {
+			return RunOpen(f, streamsOf(ArrivalFixed, gens), max)
+		}},
+		{"RunOpen/unbounded", func(f ftl.FTL, gens []Generator, max int64) Result {
+			return RunOpen(f, streamsOf(ArrivalUnbounded, gens), max)
+		}},
+		{"RunOpen/mixed", func(f ftl.FTL, gens []Generator, max int64) Result {
+			streams := streamsOf(ArrivalPoisson, gens)
+			for i := range streams {
+				streams[i].Kind = ArrivalKind(i % 3)
+			}
+			return RunOpen(f, streams, max)
+		}},
+	}
+	for _, r := range runs {
+		for _, max := range []int64{0, 1, 333} {
+			f, err := ftl.NewIdeal(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var pulled int64
+			gens := mixedGens(threads, 100, lp, 7)
+			for i, g := range gens {
+				gens[i] = countingGen(g, &pulled)
+			}
+			res := r.run(f, gens, max)
+			if pulled != res.Requests {
+				t.Errorf("%s cap %d: pulled %d requests to issue %d", r.name, max, pulled, res.Requests)
+			}
+			if max > 0 && res.Requests != max {
+				t.Errorf("%s cap %d: issued %d", r.name, max, res.Requests)
+			}
+		}
+	}
+}
+
+// refOlStream and refRunOpenLoop are the frozen pre-fold open-loop engine,
+// kept verbatim apart from the names: each stream fetches its next request
+// as soon as the previous one is issued, so it pulls one request ahead of
+// the engine. runOpenLoop must reproduce its schedule, records and acks
+// exactly (TestOpenLoopMatchesReferenceProperty) while pulling nothing
+// ahead.
+type refOlStream struct {
+	gen    Generator
+	kind   ArrivalKind
+	meanNS float64 // mean interarrival gap in virtual ns
+	rng    *rand.Rand
+
+	start   nand.Time
+	clockNS float64   // arrival offset of the fetched request, ns since start
+	arrival nand.Time // arrival time of the fetched request
+	req     Request   // fetched but not yet issued request
+	ready   nand.Time // completion time of the stream's previous request
+}
+
+// fetch pulls the stream's next request and stamps its arrival time.
+// It returns false when the generator is exhausted.
+func (s *refOlStream) fetch() bool {
+	req, ok := s.gen.Next()
+	if !ok {
+		return false
+	}
+	s.req = req
+	s.arrival = s.start + nand.Time(math.Round(s.clockNS))
+	switch s.kind {
+	case ArrivalFixed:
+		s.clockNS += s.meanNS
+	case ArrivalPoisson:
+		s.clockNS += s.rng.ExpFloat64() * s.meanNS
+	}
+	return true
+}
+
+// refRunOpenLoop is the frozen shared open-loop engine body (see RunOpen
+// for the semantics). bg, when non-nil, is offered the idle gap before
+// each service start whose target drain time precedes it.
+func refRunOpenLoop(t OpenTarget, streams []Stream, maxRequests int64, bg func(start, deadline nand.Time), ack AckFunc) Result {
+	start := t.Busy()
+	col := t.Collector()
+	names := make([]string, len(streams))
+	for i, s := range streams {
+		names[i] = s.Name
+	}
+	col.DefineStreams(names)
+
+	states := make([]*refOlStream, len(streams))
+	h := newEventHeap(0, start)
+	for i, s := range streams {
+		st := &refOlStream{gen: s.Gen, kind: s.Kind, start: start, ready: start}
+		if s.Rate <= 0 {
+			st.kind = ArrivalUnbounded
+		}
+		switch st.kind {
+		case ArrivalFixed:
+			st.meanNS = float64(nand.Second) / s.Rate
+		case ArrivalPoisson:
+			st.meanNS = float64(nand.Second) / s.Rate
+			st.rng = rand.New(rand.NewSource(s.Seed))
+		}
+		states[i] = st
+		if st.fetch() {
+			h.push(i, max(st.arrival, st.ready))
+		}
+	}
+
+	tr := col.Tracer()
+	var issued int64
+	end := start
+	for h.len() > 0 {
+		if maxRequests > 0 && issued >= maxRequests {
+			break
+		}
+		i, now := h.pop()
+		st := states[i]
+		if bg != nil {
+			// The target drains before the next service start: offer the
+			// idle gap to its background work source (GC, rebuild). Work it
+			// launches finishes inside the gap or spills into the request's
+			// service time through per-chip queueing — never onto its queue
+			// wait.
+			if busy := t.Busy(); busy < now {
+				bg(busy, now)
+			}
+		}
+		wait := now - st.arrival
+		if st.kind == ArrivalUnbounded {
+			// Unbounded streams have no arrival schedule — every request
+			// is nominally available at run start, so "wait" would only
+			// measure run progress, and a mixed unbounded+rated run would
+			// report a meaningless ~100% wait share for the unbounded
+			// tenant. They are excluded from queue-wait accounting: their
+			// latency is pure device service, as in the closed loop they
+			// schedule identically to.
+			wait = 0
+		}
+		if tr != nil && !st.req.Trim {
+			tr.BeginReq(st.req.Write, now, wait)
+		}
+		done, pages := t.Issue(st.req, now)
+		if st.req.Trim {
+			// TrimPages counted the trim inside the FTL; metadata ops
+			// join no latency population.
+		} else {
+			col.RecordQueued(i, st.req.Write, wait, done-now, pages)
+			if tr != nil {
+				tr.EndReq(done)
+			}
+		}
+		if ack != nil {
+			ack(st.req, done)
+		}
+		st.ready = done
+		if done > end {
+			end = done
+		}
+		issued++
+		if st.fetch() {
+			h.push(i, max(st.arrival, st.ready))
+		}
+	}
+	return Result{Start: start, End: end, Requests: issued}
+}
+
+// randomMixGen returns n seeded requests: reads, writes and (every trimPct
+// percent) trims of 1–4 pages.
+func randomMixGen(lp int64, n, trimPct int, seed int64) Generator {
+	rng := rand.New(rand.NewSource(seed))
+	i := 0
+	return GenFunc(func() (Request, bool) {
+		if i >= n {
+			return Request{}, false
+		}
+		i++
+		pages := 1 + rng.Intn(4)
+		req := Request{LPN: rng.Int63n(lp - int64(pages) + 1), Pages: pages}
+		switch r := rng.Intn(100); {
+		case r < trimPct:
+			req.Trim = true
+		case r < 50:
+			req.Write = true
+		}
+		return req, true
+	})
+}
+
+type ackRec struct {
+	req  Request
+	done nand.Time
+}
+
+// TestOpenLoopMatchesReferenceProperty pins the one engine body to the
+// frozen pre-fold open loop over random stream mixes: 1–9 streams of fixed,
+// Poisson, unbounded and Rate-0 arrivals under shared and distinct names,
+// with trims, background GC on and off, uncapped and capped. Result, ack
+// sequence, service and wait accounting and every per-stream bucket must
+// be identical. Pull counts are not compared: the reference pulls ahead.
+func TestOpenLoopMatchesReferenceProperty(t *testing.T) {
+	cfg := testConfig()
+	lp := int64(cfg.LogicalPages())
+	rng := rand.New(rand.NewSource(20261017))
+	kinds := []ArrivalKind{ArrivalUnbounded, ArrivalFixed, ArrivalPoisson}
+	names := []string{"a", "b", "c"}
+	grid := []float64{1, 50, 90, 99, 100}
+	for iter := 0; iter < 120; iter++ {
+		n := 1 + rng.Intn(9)
+		type spec struct {
+			s       Stream
+			per     int
+			trimPct int
+			seed    int64
+		}
+		specs := make([]spec, n)
+		for i := range specs {
+			sp := spec{per: 1 + rng.Intn(60), seed: rng.Int63()}
+			sp.s = Stream{Name: names[rng.Intn(len(names))], Kind: kinds[rng.Intn(len(kinds))],
+				Rate: 50 * math.Pow(1200, rng.Float64()), Seed: rng.Int63()}
+			if rng.Intn(6) == 0 {
+				sp.s.Rate = 0
+			}
+			if rng.Intn(3) == 0 {
+				sp.trimPct = 10
+			}
+			specs[i] = sp
+		}
+		mk := func() []Stream {
+			streams := make([]Stream, n)
+			for i, sp := range specs {
+				streams[i] = sp.s
+				streams[i].Gen = randomMixGen(lp, sp.per, sp.trimPct, sp.seed)
+			}
+			return streams
+		}
+		var maxReq int64
+		if rng.Intn(2) == 0 {
+			maxReq = 1 + rng.Int63n(200)
+		}
+		bgOn := rng.Intn(2) == 0
+
+		var refAcks, acks []ackRec
+		fr := warmIdeal(t, cfg)
+		var bg func(start, deadline nand.Time)
+		if bgOn {
+			bg = ftlTarget{fr}.BackgroundWork
+		}
+		rr := refRunOpenLoop(ftlTarget{fr}, mk(), maxReq, bg, func(req Request, done nand.Time) {
+			refAcks = append(refAcks, ackRec{req, done})
+		})
+		fn := warmIdeal(t, cfg)
+		rn := RunOpenWith(fn, mk(), OpenOptions{MaxRequests: maxReq, BackgroundGC: bgOn,
+			AckSink: func(req Request, done nand.Time) { acks = append(acks, ackRec{req, done}) }})
+
+		if rr != rn {
+			t.Fatalf("iter %d: Result %+v, reference %+v", iter, rn, rr)
+		}
+		if !reflect.DeepEqual(acks, refAcks) {
+			t.Fatalf("iter %d: ack sequences differ (%d vs %d acks)", iter, len(acks), len(refAcks))
+		}
+		rReads, rWrites := serviceFingerprint(fr)
+		nReads, nWrites := serviceFingerprint(fn)
+		if !reflect.DeepEqual(rReads, nReads) || !reflect.DeepEqual(rWrites, nWrites) {
+			t.Fatalf("iter %d: service fingerprints differ", iter)
+		}
+		rc, nc := fr.Collector(), fn.Collector()
+		if rc.QueueWaitShare() != nc.QueueWaitShare() || rc.MeanQueueWait() != nc.MeanQueueWait() {
+			t.Fatalf("iter %d: wait accounting differs", iter)
+		}
+		if fr.Flash().Counters() != fn.Flash().Counters() || rc.GCCount != nc.GCCount || rc.BGGCCount != nc.BGGCCount {
+			t.Fatalf("iter %d: flash or GC schedule differs", iter)
+		}
+		rb, nb := rc.Streams(), nc.Streams()
+		if len(rb) != len(nb) {
+			t.Fatalf("iter %d: %d buckets, reference %d", iter, len(nb), len(rb))
+		}
+		for k := range rb {
+			a, b := rb[k], nb[k]
+			if a.Name != b.Name || a.Requests() != b.Requests() || a.Mean() != b.Mean() ||
+				a.MeanWait() != b.MeanWait() || a.WaitShare() != b.WaitShare() {
+				t.Fatalf("iter %d: bucket %d differs", iter, k)
+			}
+			for _, p := range grid {
+				if a.Percentile(p) != b.Percentile(p) {
+					t.Fatalf("iter %d: bucket %d p%v differs", iter, k, p)
+				}
+			}
+		}
 	}
 }

@@ -93,15 +93,13 @@ type Collector struct {
 	GCCount      int64
 	BGGCCount    int64 // collections launched from idle-gap background GC
 	GCPagesMoved int64
-	GCTimestamps []nand.Time // virtual time of each GC invocation
-	GCBusyTime   nand.Time   // total virtual time spent inside GC
-	SortTrainOps int64       // GTD entries sorted+trained during GC
-	SortTrainNS  int64       // virtual ns charged for sorting+training
+	GCBusyTime   nand.Time // total virtual time spent inside GC
+	SortTrainOps int64     // GTD entries sorted+trained during GC
+	SortTrainNS  int64     // virtual ns charged for sorting+training
 
 	// Background scrub activity (fault model): at-risk block rewrites.
 	ScrubCount      int64
 	ScrubPagesMoved int64
-	ScrubBusyTime   nand.Time
 
 	// DeviceFailed latches when the FTL could not allocate space for a host
 	// or translation write — the device is overcommitted or bad-block
@@ -109,17 +107,6 @@ type Collector struct {
 	// dropped; FailReason carries the first failure's diagnosis.
 	DeviceFailed bool
 	FailReason   string
-
-	// waSamples tracks cumulative write amplification over virtual time:
-	// one sample per GC completion, pairing the host pages written so far
-	// with the flash programs issued so far. The series is stride-
-	// downsampled: when it reaches waSampleCap points, every other point is
-	// dropped and only every waStride-th subsequent offer is recorded, so
-	// memory stays O(waSampleCap) on multi-billion-op streamed runs while
-	// shorter runs keep every sample.
-	waSamples []WASample
-	waSeen    int64
-	waStride  int64
 
 	// tr, when non-nil, is the attached observability tracer
 	// (internal/obs). It is run state like the series arenas — Reset
@@ -243,12 +230,11 @@ func (c *Collector) RecordQueued(stream int, write bool, wait, service nand.Time
 // RecordClass records the read class of one host page read.
 func (c *Collector) RecordClass(cl ReadClass) { c.ReadClasses[cl]++ }
 
-// RecordGC records one GC invocation at virtual time t that moved the given
-// number of valid pages and kept the device busy for busy ns.
-func (c *Collector) RecordGC(t nand.Time, pagesMoved int, busy nand.Time) {
+// RecordGC records one GC invocation that moved the given number of valid
+// pages and kept the device busy for busy ns.
+func (c *Collector) RecordGC(pagesMoved int, busy nand.Time) {
 	c.GCCount++
 	c.GCPagesMoved += int64(pagesMoved)
-	c.GCTimestamps = append(c.GCTimestamps, t)
 	c.GCBusyTime += busy
 }
 
@@ -257,13 +243,11 @@ func (c *Collector) RecordGC(t nand.Time, pagesMoved int, busy nand.Time) {
 func (c *Collector) RecordBGGC() { c.BGGCCount++ }
 
 // RecordScrub records one background scrub collection that refreshed
-// pagesMoved pages and kept the device busy for busy ns. Scrubs are
-// accounted apart from GC so refresh traffic is distinguishable from
-// reclamation.
-func (c *Collector) RecordScrub(pagesMoved int, busy nand.Time) {
+// pagesMoved pages. Scrubs are accounted apart from GC so refresh traffic
+// is distinguishable from reclamation.
+func (c *Collector) RecordScrub(pagesMoved int) {
 	c.ScrubCount++
 	c.ScrubPagesMoved += int64(pagesMoved)
-	c.ScrubBusyTime += busy
 }
 
 // RecordDeviceFailure latches the device-failed state; the first reported
@@ -283,60 +267,6 @@ func (c *Collector) RecordTrim(pages, live int) {
 	c.HostTrimPages += int64(pages)
 	c.HostTrimmedLive += int64(live)
 }
-
-// WASample is one point of the write-amplification-over-time series: the
-// cumulative host pages written and flash pages programmed as of virtual
-// time T.
-type WASample struct {
-	T             nand.Time
-	HostPages     int64
-	FlashPrograms int64
-}
-
-// WA returns the cumulative write amplification at this sample.
-func (s WASample) WA() float64 {
-	if s.HostPages == 0 {
-		return 0
-	}
-	return float64(s.FlashPrograms) / float64(s.HostPages)
-}
-
-// waSampleCap bounds the WA-over-time series; reaching it halves the
-// series and doubles the recording stride.
-const waSampleCap = 4096
-
-// RecordWASample appends one WA-over-time point (typically at each GC
-// completion) pairing the current host write count with the device's
-// cumulative program count. Below waSampleCap points every offer is
-// recorded; beyond, the series is stride-downsampled so it never exceeds
-// the cap — runs of any length keep an evenly-thinned series in O(1)
-// memory.
-func (c *Collector) RecordWASample(t nand.Time, flashPrograms int64) {
-	seen := c.waSeen
-	c.waSeen++
-	if c.waStride > 1 && seen%c.waStride != 0 {
-		return
-	}
-	c.waSamples = append(c.waSamples, WASample{
-		T:             t,
-		HostPages:     c.HostWritePages,
-		FlashPrograms: flashPrograms,
-	})
-	if len(c.waSamples) >= waSampleCap {
-		half := c.waSamples[:0]
-		for i := 0; i < len(c.waSamples); i += 2 {
-			half = append(half, c.waSamples[i])
-		}
-		c.waSamples = half
-		if c.waStride < 1 {
-			c.waStride = 1
-		}
-		c.waStride *= 2
-	}
-}
-
-// WAOverTime returns the recorded write-amplification series.
-func (c *Collector) WAOverTime() []WASample { return c.waSamples }
 
 // Reset clears all accumulated metrics (between warm-up and measurement).
 // The latency/wait arenas are kept and emptied rather than dropped, so the

@@ -160,13 +160,10 @@ func TestBuildReportThroughputAndWA(t *testing.T) {
 
 func TestRecordGC(t *testing.T) {
 	c := NewCollector()
-	c.RecordGC(100, 32, 5*nand.Millisecond)
-	c.RecordGC(200, 16, 3*nand.Millisecond)
+	c.RecordGC(32, 5*nand.Millisecond)
+	c.RecordGC(16, 3*nand.Millisecond)
 	if c.GCCount != 2 || c.GCPagesMoved != 48 {
 		t.Fatalf("GC counters: %d moved %d", c.GCCount, c.GCPagesMoved)
-	}
-	if len(c.GCTimestamps) != 2 || c.GCTimestamps[1] != 200 {
-		t.Fatalf("timestamps %v", c.GCTimestamps)
 	}
 	if c.GCBusyTime != 8*nand.Millisecond {
 		t.Fatalf("busy %v", c.GCBusyTime)

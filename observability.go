@@ -8,7 +8,6 @@ package learnedftl
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"learnedftl/internal/ftl"
 	"learnedftl/internal/obs"
@@ -88,49 +87,6 @@ type ObsCell struct {
 	FTL       string    `json:"ftl"`
 	Pattern   string    `json:"pattern"`
 	Breakdown Breakdown `json:"breakdown"`
-}
-
-// obsAccum collects ObsCells across latbreak's concurrent cells, indexed so
-// assembly order is deterministic.
-type obsAccum struct {
-	mu    sync.Mutex
-	cells map[int]ObsCell
-}
-
-func (a *obsAccum) add(i int, c ObsCell) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	if a.cells == nil {
-		a.cells = make(map[int]ObsCell)
-	}
-	a.cells[i] = c
-	a.mu.Unlock()
-}
-
-func (a *obsAccum) snapshot() []ObsCell {
-	if a == nil {
-		return nil
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(a.cells) == 0 {
-		return nil
-	}
-	max := 0
-	for i := range a.cells {
-		if i > max {
-			max = i
-		}
-	}
-	out := make([]ObsCell, 0, len(a.cells))
-	for i := 0; i <= max; i++ {
-		if c, ok := a.cells[i]; ok {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // latBreakPatterns are the workloads latbreak decomposes: the read pattern

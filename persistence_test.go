@@ -355,7 +355,7 @@ func TestGoldenTablesWithCheckpointCache(t *testing.T) {
 	}
 	b := sweepTestBudget(1)
 	b.Checkpoints = cache
-	want := closedLoopGolden["fig16"]
+	want := hostModelGolden["fig16"]
 	for pass := 0; pass < 2; pass++ {
 		tab, err := Fig16(cfg, b)
 		if err != nil {

@@ -40,13 +40,13 @@ func TestExperimentsParallelDeterminism(t *testing.T) {
 	}
 }
 
-// closedLoopGolden pins the closed-loop experiment tables bit-for-bit to
-// the pre-refactor engine: these strings were captured from the seed's
-// closed-loop-only sim.Run (commit f06c5b0) with TinyConfig and
-// sweepTestBudget before the event-core/open-loop refactor landed. If this
-// test fails, the host-layer refactor moved a closed-loop number — that is
+// hostModelGolden pins experiment tables of both host models bit-for-bit
+// to earlier engines, with TinyConfig and sweepTestBudget(1). The
+// closed-loop strings were captured from the seed's closed-loop-only
+// sim.Run (commit f06c5b0) before the event-core/open-loop refactor
+// landed. If this test fails, a host-layer change moved a number — that is
 // a regression, not a table to re-bless.
-var closedLoopGolden = map[string]string{
+var hostModelGolden = map[string]string{
 	"fig2": `== Fig 2: TPFTL read performance vs threads (seq uses 8-page I/O, rand 1-page) ==
 threads  seqread MB/s  randread MB/s  seq CMT hit  rand CMT hit
 1        329.2         49.5           87.5%        2.6%
@@ -84,6 +84,35 @@ WebSearch2  0.20ms     0.20ms      0.12ms          0.12ms     0.40ms      0.36ms
 WebSearch3  0.24ms     0.20ms      0.16ms          0.08ms     0.40ms      0.24ms       0.32ms           0.16ms
 Systor17    42.76ms    0.16ms      0.68ms          24.28ms    74.56ms     512.80ms     79.48ms          57.88ms
 `,
+	// The open-loop tables below were captured from commit d32279d, the
+	// last tree with a separate closed-loop engine body and an open loop
+	// that fetched each stream's next request ahead of issuing it.
+	"tenantmix": `== Tenant mix: WebSearch reads + Systor writes sharing one device (per-tenant open-loop latency) ==
+FTL         tenant      offered IOPS  requests  mean      p99       p99.9     wait
+DFTL        WebSearch1  20108         1000      128.76ms  468.04ms  470.27ms  97.2%
+DFTL        Systor17    8618          1000      140.36ms  402.11ms  421.04ms  97.3%
+TPFTL       WebSearch1  20108         1000      225.67ms  611.68ms  613.72ms  98.0%
+TPFTL       Systor17    8618          1000      233.54ms  580.45ms  585.22ms  98.0%
+LeaFTL      WebSearch1  20108         1000      66.8µs    200.7µs   317.4µs   10.5%
+LeaFTL      Systor17    8618          1000      33.24ms   493.41ms  496.10ms  89.5%
+LearnedFTL  WebSearch1  20108         1000      82.4µs    560.0µs   764.9µs   18.3%
+LearnedFTL  Systor17    8618          1000      166.9µs   730.8µs   1.08ms    16.0%
+ideal       WebSearch1  20108         1000      9.85ms    126.65ms  147.62ms  92.3%
+ideal       Systor17    8618          1000      45.94ms   134.39ms  137.66ms  97.1%
+`,
+	"gclat": `== GC latency: open-loop randwrite tails, foreground vs background collection ==
+FTL         gc mode     offered IOPS  achieved IOPS  mean      p99       p99.9     wait   GCs  bg GCs
+DFTL        foreground  1493          1307           8.02ms    61.80ms   81.86ms   63.4%  83   0
+DFTL        background  1493          1320           1.23ms    11.38ms   13.55ms   23.0%  145  145
+TPFTL       foreground  1022          904            9.41ms    97.72ms   119.53ms  64.3%  91   0
+TPFTL       background  1022          904            1.45ms    14.36ms   19.16ms   21.8%  195  177
+LeaFTL      foreground  834           738            0.0µs     0.0µs     0.0µs     0.0%   0    0
+LeaFTL      background  834           738            0.0µs     0.0µs     0.0µs     0.0%   356  356
+LearnedFTL  foreground  21343         12663          29.74ms   73.12ms   74.59ms   96.4%  1    0
+LearnedFTL  background  21343         12663          29.74ms   73.12ms   74.59ms   96.4%  1    0
+ideal       foreground  3979          3519           1.17ms    28.11ms   39.72ms   65.1%  45   0
+ideal       background  3979          3519           206.1µs   365.0µs   474.6µs   3.0%   70   70
+`,
 }
 
 // trimTrailing strips the column padding Table.String appends to every
@@ -97,15 +126,15 @@ func trimTrailing(s string) string {
 	return strings.Join(lines, "\n")
 }
 
-func TestClosedLoopTablesMatchPreRefactorEngine(t *testing.T) {
+func TestHostModelTablesMatchGolden(t *testing.T) {
 	cfg := TinyConfig()
-	for id, want := range closedLoopGolden {
+	for id, want := range hostModelGolden {
 		tab, err := Experiments()[id](cfg, sweepTestBudget(1))
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
 		if got := trimTrailing(tab.String()); got != want {
-			t.Fatalf("%s diverged from the pre-refactor engine:\ngot:\n%s\nwant:\n%s", id, got, want)
+			t.Fatalf("%s diverged from its golden table:\ngot:\n%s\nwant:\n%s", id, got, want)
 		}
 	}
 }
