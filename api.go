@@ -221,11 +221,21 @@ func deviceFingerprint(f FTL) string {
 // collector is not captured; RestoreDevice returns a device with a fresh
 // one, matching what every experiment's measurement reset produces.
 func SnapshotDevice(f FTL) ([]byte, error) {
+	dev, err := persistDevice(f)
+	if err != nil {
+		return nil, err
+	}
+	return persist.Snapshot(dev, deviceFingerprint(f)), nil
+}
+
+// persistDevice returns f's snapshot view. Every scheme New builds has
+// one; the error covers any other FTL handed to the public API.
+func persistDevice(f FTL) (persist.Device, error) {
 	dev, ok := f.(persist.Device)
 	if !ok {
 		return nil, fmt.Errorf("learnedftl: %s does not support snapshots", f.Name())
 	}
-	return persist.Snapshot(dev, deviceFingerprint(f)), nil
+	return dev, nil
 }
 
 // RestoreDevice rebuilds a device from a SnapshotDevice stream. The scheme
@@ -257,9 +267,9 @@ func RestoreLearnedDevice(cfg Config, opt Options, data []byte) (*core.LearnedFT
 
 // restoreInto loads a snapshot into a freshly constructed device.
 func restoreInto(f FTL, data []byte) (FTL, error) {
-	dev, ok := f.(persist.Device)
-	if !ok {
-		return nil, fmt.Errorf("learnedftl: %s does not support snapshots", f.Name())
+	dev, err := persistDevice(f)
+	if err != nil {
+		return nil, err
 	}
 	if err := persist.Restore(dev, deviceFingerprint(f), data); err != nil {
 		return nil, err
@@ -373,8 +383,12 @@ type BenchResult struct {
 // RunExperiments runs the given experiment ids in order under cfg and b,
 // timing each. The cells inside each experiment fan across b.Workers
 // goroutines; experiments themselves run sequentially so their wall-clock
-// splits stay meaningful.
+// splits stay meaningful. The budget's enum and list knobs are validated
+// before the first experiment starts.
 func RunExperiments(ids []string, cfg Config, b Budget) ([]BenchResult, error) {
+	if err := b.validate(); err != nil {
+		return nil, err
+	}
 	out := make([]BenchResult, 0, len(ids))
 	exps := Experiments()
 	for _, id := range ids {
@@ -383,8 +397,6 @@ func RunExperiments(ids []string, cfg Config, b Budget) ([]BenchResult, error) {
 			return nil, fmt.Errorf("learnedftl: unknown experiment %q", id)
 		}
 		b.warm = &warmAccum{}
-		b.obs = &cellAccum[ObsCell]{}
-		b.fleet = &cellAccum[FleetCell]{}
 		start := time.Now()
 		tab, err := run(cfg, b)
 		if err != nil {
@@ -394,8 +406,8 @@ func RunExperiments(ids []string, cfg Config, b Budget) ([]BenchResult, error) {
 			Experiment: id,
 			Seconds:    time.Since(start).Seconds(),
 			Table:      tab,
-			Obs:        b.obs.snapshot(),
-			Fleet:      b.fleet.snapshot(),
+			Obs:        tab.obs,
+			Fleet:      tab.fleet,
 		}
 		if progs, secs := b.warm.snapshot(); progs > 0 {
 			r.WarmMpg = float64(progs) / 1e6

@@ -143,30 +143,6 @@ func run() int {
 		}()
 	}
 
-	// "unbounded" exists as an engine ArrivalKind but makes the open-loop
-	// experiments' offered-IOPS axis meaningless, so the CLI only accepts
-	// the rate-controlled processes.
-	if k, ok := learnedftl.ParseArrival(*arrival); !ok || k == learnedftl.ArrivalUnbounded {
-		fmt.Fprintf(os.Stderr, "unknown arrival process %q (want poisson or fixed)\n", *arrival)
-		return 2
-	}
-
-	// Every listed policy must parse, and typos must fail loudly before any
-	// multi-hour run starts.
-	var policies []learnedftl.GCPolicy
-	if *gcPolicy != "" {
-		for _, s := range strings.Split(*gcPolicy, ",") {
-			name := strings.TrimSpace(s)
-			k, ok := learnedftl.ParseGCPolicy(name)
-			if !ok || name == "" { // empty elements are typos, not defaults
-				fmt.Fprintf(os.Stderr, "unknown GC policy %q (want one of %v)\n",
-					name, learnedftl.GCPolicies())
-				return 2
-			}
-			policies = append(policies, k)
-		}
-	}
-
 	if *list {
 		for _, e := range learnedftl.ExperimentList() {
 			fmt.Printf("%-10s %s\n", e.ID, e.Desc)
@@ -224,8 +200,15 @@ func run() int {
 	// A single -gc-policy value also selects the device policy every other
 	// experiment runs under (gcsweep always builds per-cell configs from
 	// its own policy column).
-	if len(policies) == 1 {
-		cfg.GCPolicy = policies[0]
+	if k, ok := learnedftl.ParseGCPolicy(strings.TrimSpace(*gcPolicy)); ok && *gcPolicy != "" {
+		cfg.GCPolicy = k
+	}
+	// Typos in the list and enum flags (-arrival, -tenant-share,
+	// -gc-policy, -fault-schemes, -placement) fail here, before any
+	// multi-hour run starts: RunExperiments with no ids only validates.
+	if _, err := learnedftl.RunExperiments(nil, cfg, budget); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
 	}
 	fmt.Printf("device: %s  logical pages: %d  budget: %d requests/run  workers: %d\n\n",
 		cfg.Geometry, cfg.LogicalPages(), budget.Requests, max(1, budget.Workers))

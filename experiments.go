@@ -1,6 +1,7 @@
 package learnedftl
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -113,12 +114,8 @@ type Budget struct {
 
 	// warm, when set by RunExperiments, accumulates the cold warm-up cost
 	// of every cell (simulated programs over wall clock) so the BENCH
-	// trajectory tracks warm-up throughput. obs likewise accumulates
-	// latbreak's per-cell phase breakdowns, and fleet the fleet
-	// experiment's per-cell array-level aggregates, for the BENCH JSON.
-	warm  *warmAccum
-	obs   *cellAccum[ObsCell]
-	fleet *cellAccum[FleetCell]
+	// trajectory tracks warm-up throughput.
+	warm *warmAccum
 }
 
 // WarmStats summarizes one device warm-up: deterministic simulated cost
@@ -157,93 +154,55 @@ func (a *warmAccum) snapshot() (programs int64, seconds float64) {
 	return a.programs, a.seconds
 }
 
-// cellAccum collects per-cell records across an experiment's concurrent
-// cells, keyed by cell index so assembly order is deterministic. A nil
-// accumulator drops every record.
-type cellAccum[T any] struct {
-	mu    sync.Mutex
-	cells map[int]T
+// threads returns the budget's stream count, raised to at least floor, and
+// the requests each stream issues (at least one).
+func (b Budget) threads(floor int) (threads, per int) {
+	threads = max(b.Threads, floor)
+	return threads, max(b.Requests/threads, 1)
 }
 
-func (a *cellAccum[T]) add(i int, c T) {
-	if a == nil {
-		return
+// parseList resolves a comma-separated knob ("" selects all), erroring on
+// typos so a misspelled name never silently collapses a sweep. An empty
+// element (trailing or doubled comma) is a typo, not a request for the
+// default. errFormat receives the bad name and all.
+func parseList[T any](list string, all []T, parse func(string) (T, bool), errFormat string) ([]T, error) {
+	if list == "" {
+		return all, nil
 	}
-	a.mu.Lock()
-	if a.cells == nil {
-		a.cells = make(map[int]T)
-	}
-	a.cells[i] = c
-	a.mu.Unlock()
-}
-
-// snapshot returns the records in cell-index order, or nil if none.
-func (a *cellAccum[T]) snapshot() []T {
-	if a == nil {
-		return nil
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(a.cells) == 0 {
-		return nil
-	}
-	idx := make([]int, 0, len(a.cells))
-	for i := range a.cells {
-		idx = append(idx, i)
-	}
-	sort.Ints(idx)
-	out := make([]T, len(idx))
-	for k, i := range idx {
-		out[k] = a.cells[i]
-	}
-	return out
-}
-
-// gcPolicyList resolves the budget's policy subset, erroring on typos so a
-// misspelled policy never silently collapses the sweep.
-func (b Budget) gcPolicyList() ([]gc.Kind, error) {
-	if b.GCPolicies == "" {
-		return gc.Kinds(), nil
-	}
-	var out []gc.Kind
-	for _, s := range strings.Split(b.GCPolicies, ",") {
+	var out []T
+	for _, s := range strings.Split(list, ",") {
 		name := strings.TrimSpace(s)
-		// An empty element (trailing or doubled comma) is a typo, not a
-		// request for the default policy.
-		k, ok := gc.ParseKind(name)
+		v, ok := parse(name)
 		if !ok || name == "" {
-			return nil, fmt.Errorf("learnedftl: unknown GC policy %q (want one of %v)",
-				name, gc.Kinds())
+			return nil, fmt.Errorf(errFormat, name, all)
 		}
-		out = append(out, k)
+		out = append(out, v)
 	}
 	return out, nil
 }
 
-// faultSchemeList resolves the budget's scheme subset for the fault
-// experiments, erroring on typos so a misspelled scheme never silently
-// collapses the sweep.
+// gcPolicyList resolves Budget.GCPolicies.
+func (b Budget) gcPolicyList() ([]gc.Kind, error) {
+	return parseList(b.GCPolicies, gc.Kinds(), gc.ParseKind,
+		"learnedftl: unknown GC policy %q (want one of %v)")
+}
+
+// faultSchemeList resolves Budget.FaultSchemes, case-insensitively.
 func (b Budget) faultSchemeList() ([]Scheme, error) {
-	if b.FaultSchemes == "" {
-		return Schemes(), nil
-	}
-	var out []Scheme
-	for _, s := range strings.Split(b.FaultSchemes, ",") {
-		name := strings.TrimSpace(s)
-		found := false
-		for _, sch := range Schemes() {
-			if strings.EqualFold(sch.String(), name) {
-				out = append(out, sch)
-				found = true
-				break
+	return parseList(b.FaultSchemes, Schemes(), func(name string) (Scheme, bool) {
+		for _, s := range Schemes() {
+			if strings.EqualFold(s.String(), name) {
+				return s, true
 			}
 		}
-		if !found {
-			return nil, fmt.Errorf("learnedftl: unknown scheme %q (want a subset of %v)",
-				name, Schemes())
-		}
-	}
-	return out, nil
+		return 0, false
+	}, "learnedftl: unknown scheme %q (want a subset of %v)")
+}
+
+// fleetPolicyList resolves Budget.FleetPlacement.
+func (b Budget) fleetPolicyList() ([]FleetPolicy, error) {
+	return parseList(b.FleetPlacement, FleetPolicies(), ParseFleetPolicy,
+		"learnedftl: unknown placement policy %q (want one of %v)")
 }
 
 // openLoopKind resolves and validates the budget's arrival process for the
@@ -259,21 +218,44 @@ func (b Budget) openLoopKind() (sim.ArrivalKind, error) {
 	return k, nil
 }
 
+// tenantShare resolves Budget.ReadTenantShare (0 = the default 0.7).
+func (b Budget) tenantShare() (float64, error) {
+	switch share := b.ReadTenantShare; {
+	case share == 0:
+		return 0.7, nil
+	case share < 0 || share >= 1:
+		return 0, fmt.Errorf("learnedftl: tenantmix read-tenant share %v out of (0, 1)", share)
+	default:
+		return share, nil
+	}
+}
+
+// validate checks every enum and list knob, so RunExperiments rejects a
+// typo before the first experiment of a sweep rather than when the
+// experiment that reads the knob starts.
+func (b Budget) validate() error {
+	_, errArrival := b.openLoopKind()
+	_, errShare := b.tenantShare()
+	_, errGC := b.gcPolicyList()
+	_, errFault := b.faultSchemeList()
+	_, errFleet := b.fleetPolicyList()
+	return cmp.Or(errArrival, errShare, errGC, errFault, errFleet)
+}
+
 // runCells executes n independent experiment cells under the budget's
-// worker pool. Each cell must write its result only into slots it owns
-// (indexed by i), which makes table assembly order-preserving regardless of
+// worker pool and returns their results in cell order, whatever the
 // completion order. With Budget.Progress set, each completed cell reports
 // (done, total).
-func runCells(b Budget, n int, cell func(i int) error) error {
+func runCells[T any](b Budget, n int, cell func(i int) (T, error)) ([]T, error) {
 	if b.Progress == nil {
-		return sweep.Run(b.Workers, sweep.Tasks(n, cell))
+		return sweep.Map(b.Workers, n, cell)
 	}
 	var done atomic.Int64
-	return sweep.Run(b.Workers, sweep.Tasks(n, func(i int) error {
-		err := cell(i)
+	return sweep.Map(b.Workers, n, func(i int) (T, error) {
+		v, err := cell(i)
 		b.Progress(int(done.Add(1)), n)
-		return err
-	}))
+		return v, err
+	})
 }
 
 // QuickBudget finishes the whole suite in minutes on a laptop.
@@ -291,6 +273,12 @@ type Table struct {
 	Title  string     `json:"title"`
 	Header []string   `json:"header"`
 	Rows   [][]string `json:"rows"`
+
+	// Per-cell records that RunExperiments lifts into BenchResult:
+	// latbreak's phase breakdowns and the fleet experiment's array-level
+	// aggregates. They stay off the rendered table.
+	obs   []ObsCell
+	fleet []FleetCell
 }
 
 // String renders the table with aligned columns.
@@ -375,32 +363,38 @@ func newWarmed(s Scheme, cfg Config, b Budget) (FTL, error) {
 	}
 	key := warmKey(s, cfg, b.WarmExtra)
 	if data, ok := b.Checkpoints.Load(key); ok {
-		f, err := New(s, cfg)
+		f, dev, err := newPersistent(s, cfg)
 		if err != nil {
 			return nil, err
 		}
-		if dev, devOK := f.(persist.Device); devOK {
-			if err := persist.Restore(dev, key, data); err == nil {
-				// The restored lifetime program count is exactly the
-				// warm-up work this hit avoided re-simulating.
-				life := f.Flash().LifetimeCounters()
-				b.Checkpoints.NoteRestored(life.TotalPrograms())
-				return f, nil
-			}
+		if err := persist.Restore(dev, key, data); err == nil {
+			// The restored lifetime program count is exactly the warm-up
+			// work this hit avoided re-simulating.
+			life := f.Flash().LifetimeCounters()
+			b.Checkpoints.NoteRestored(life.TotalPrograms())
+			return f, nil
 		}
 		// Corrupt or stale (format bump): counts as a miss; fall through
 		// to a cold warm-up, which overwrites the entry.
 		b.Checkpoints.NoteUnusable()
 	}
-	f, err := New(s, cfg)
+	f, dev, err := newPersistent(s, cfg)
 	if err != nil {
 		return nil, err
 	}
 	warmDevice(f, b)
-	if dev, devOK := f.(persist.Device); devOK {
-		b.Checkpoints.Store(key, persist.Snapshot(dev, key))
-	}
+	b.Checkpoints.Store(key, persist.Snapshot(dev, key))
 	return f, nil
+}
+
+// newPersistent builds a scheme's device together with its snapshot view.
+func newPersistent(s Scheme, cfg Config) (FTL, persist.Device, error) {
+	f, err := New(s, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	dev, err := persistDevice(f)
+	return f, dev, err
 }
 
 func warmDevice(f FTL, b Budget) WarmStats {
@@ -445,25 +439,20 @@ func report(f FTL, res sim.Result) stats.Report {
 	return r
 }
 
-// measureFIO measures one FIO pattern.
+// measureFIO measures one FIO pattern: total requests split across at
+// least one thread.
 func measureFIO(f FTL, p workload.Pattern, threads, ioPages, total int) stats.Report {
-	per := total / threads
-	if per < 1 {
-		per = 1
-	}
+	threads = max(threads, 1)
+	per := max(total/threads, 1)
 	gens := workload.FIO(p, f.Config().LogicalPages(), ioPages, threads, per, 7)
 	return measure(f, gens)
 }
 
-// measureOpen runs open-loop streams on a (typically warmed) device and
-// summarizes, including the queue-wait decomposition and per-tenant
-// breakdown RunOpen records.
-func measureOpen(f FTL, streams []sim.Stream) stats.Report {
-	return measureOpenWith(f, streams, false)
-}
-
-// measureOpenWith is measureOpen with idle-gap background GC toggleable.
-func measureOpenWith(f FTL, streams []sim.Stream, backgroundGC bool) stats.Report {
+// measureOpen runs open-loop streams on a (typically warmed) device, with
+// idle-gap background GC when backgroundGC is set, and summarizes,
+// including the queue-wait decomposition and per-tenant breakdown RunOpen
+// records.
+func measureOpen(f FTL, streams []sim.Stream, backgroundGC bool) stats.Report {
 	f.Collector().Reset()
 	f.Flash().ResetCounters()
 	res := sim.RunOpenWith(f, streams, sim.OpenOptions{BackgroundGC: backgroundGC})
@@ -499,10 +488,7 @@ var loadSweepFractions = []float64{0.10, 0.20, 0.35, 0.50, 0.65, 0.80, 1.00, 1.2
 // cell. Budget.OfferedIOPS > 0 narrows the ladder to that single rate;
 // Budget.Arrival picks the arrival process (Poisson by default).
 func LoadSweep(cfg Config, b Budget) (Table, error) {
-	threads := b.Threads
-	if threads < 1 {
-		threads = 1
-	}
+	threads, per := b.threads(1)
 	rates := make([]float64, 0, len(loadSweepFractions))
 	if b.OfferedIOPS > 0 {
 		rates = append(rates, b.OfferedIOPS)
@@ -517,25 +503,19 @@ func LoadSweep(cfg Config, b Budget) (Table, error) {
 		return Table{}, err
 	}
 	schemes := Schemes()
-	rows := make([][]string, len(schemes)*len(rates))
-	err = runCells(b, len(rows), func(i int) error {
+	rows, err := runCells(b, len(schemes)*len(rates), func(i int) ([]string, error) {
 		si, ri := i/len(rates), i%len(rates)
 		f, err := newWarmed(schemes[si], cfg, b)
 		if err != nil {
-			return err
-		}
-		per := b.Requests / threads
-		if per < 1 {
-			per = 1
+			return nil, err
 		}
 		streams := workload.OpenFIO("randread", workload.RandRead,
 			f.Config().LogicalPages(), 1, threads, per, kind, rates[ri], 1117)
-		r := measureOpen(f, streams)
-		rows[i] = []string{
+		r := measureOpen(f, streams, false)
+		return []string{
 			schemes[si].String(), f0(rates[ri]), f0(r.IOPS),
 			lat(r.MeanLat), lat(r.P99), lat(r.P999), pct(r.WaitShare),
-		}
-		return nil
+		}, nil
 	})
 	if err != nil {
 		return Table{}, err
@@ -559,11 +539,9 @@ func TenantMixExp(cfg Config, b Budget) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	share := b.ReadTenantShare
-	if share == 0 {
-		share = 0.7
-	} else if share < 0 || share >= 1 {
-		return Table{}, fmt.Errorf("learnedftl: tenantmix read-tenant share %v out of (0, 1)", share)
+	share, err := b.tenantShare()
+	if err != nil {
+		return Table{}, err
 	}
 	total := b.OfferedIOPS
 	if total <= 0 {
@@ -577,46 +555,39 @@ func TenantMixExp(cfg Config, b Budget) (Table, error) {
 		mixPages := share*wsPages + (1-share)*sysPages
 		total = 0.25 * idealRandReadIOPS(cfg, b.Threads) / mixPages
 	}
-	spt := b.Threads / 2
-	if spt < 1 {
-		spt = 1
-	}
-	perTenant := b.Requests / 2
-	if perTenant < spt {
-		perTenant = spt
-	}
+	spt := max(b.Threads/2, 1)
+	perTenant := max(b.Requests/2, spt)
+	offered := []float64{total * share, total * (1 - share)}
 	schemes := Schemes()
-	const tenants = 2
-	rows := make([][]string, len(schemes)*tenants)
-	err = runCells(b, len(schemes), func(i int) error {
+	res, err := runCells(b, len(schemes), func(i int) ([]stats.StreamReport, error) {
 		f, err := newWarmed(schemes[i], cfg, b)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		streams := workload.TenantMix(f.Config().LogicalPages(), spt, perTenant,
-			kind, total*share, total*(1-share))
-		r := measureOpen(f, streams)
-		offered := []float64{total * share, total * (1 - share)}
-		for j, sr := range r.Streams {
-			if j >= tenants {
-				break
-			}
-			rows[i*tenants+j] = []string{
-				schemes[i].String(), sr.Name, f0(offered[j]),
-				fmt.Sprint(sr.Requests), lat(sr.MeanLat), lat(sr.P99), lat(sr.P999),
-				pct(sr.WaitShare),
-			}
-		}
-		return nil
+			kind, offered[0], offered[1])
+		return measureOpen(f, streams, false).Streams, nil
 	})
 	if err != nil {
 		return Table{}, err
 	}
-	return Table{
+	t := Table{
 		Title:  "Tenant mix: WebSearch reads + Systor writes sharing one device (per-tenant open-loop latency)",
 		Header: []string{"FTL", "tenant", "offered IOPS", "requests", "mean", "p99", "p99.9", "wait"},
-		Rows:   rows,
-	}, nil
+	}
+	for i, tenants := range res {
+		for j, sr := range tenants {
+			if j >= len(offered) {
+				break
+			}
+			t.Rows = append(t.Rows, []string{
+				schemes[i].String(), sr.Name, f0(offered[j]),
+				fmt.Sprint(sr.Requests), lat(sr.MeanLat), lat(sr.P99), lat(sr.P999),
+				pct(sr.WaitShare),
+			})
+		}
+	}
+	return t, nil
 }
 
 // Fig2 reproduces the motivation experiment: TPFTL sequential vs random read
@@ -625,73 +596,62 @@ func TenantMixExp(cfg Config, b Budget) (Table, error) {
 // independent and the table is identical at any worker count.
 func Fig2(cfg Config, b Budget) (Table, error) {
 	threads := []int{1, 16, 32, 64}
-	type cell struct{ seq, rnd stats.Report }
-	res := make([]cell, len(threads))
-	err := runCells(b, len(threads), func(i int) error {
+	rows, err := runCells(b, len(threads), func(i int) ([]string, error) {
 		f, err := newWarmed(SchemeTPFTL, cfg, b)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		res[i].seq = measureFIO(f, workload.SeqRead, threads[i], 8, b.Requests)
-		res[i].rnd = measureFIO(f, workload.RandRead, threads[i], 1, b.Requests)
-		return nil
+		seq := measureFIO(f, workload.SeqRead, threads[i], 8, b.Requests)
+		rnd := measureFIO(f, workload.RandRead, threads[i], 1, b.Requests)
+		return []string{
+			fmt.Sprint(threads[i]), f1(seq.ReadMBps), f1(rnd.ReadMBps),
+			pct(seq.CMTHitRatio), pct(rnd.CMTHitRatio),
+		}, nil
 	})
 	if err != nil {
 		return Table{}, err
 	}
-	t := Table{
+	return Table{
 		Title:  "Fig 2: TPFTL read performance vs threads (seq uses 8-page I/O, rand 1-page)",
 		Header: []string{"threads", "seqread MB/s", "randread MB/s", "seq CMT hit", "rand CMT hit"},
-	}
-	for i, th := range threads {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(th), f1(res[i].seq.ReadMBps), f1(res[i].rnd.ReadMBps),
-			pct(res[i].seq.CMTHitRatio), pct(res[i].rnd.CMTHitRatio),
-		})
-	}
-	return t, nil
+		Rows:   rows,
+	}, nil
 }
 
 // Fig3 reproduces the CMT-scaling experiment: TPFTL's random-read hit ratio
 // barely improves even with a CMT holding 50% of all mappings.
 func Fig3(cfg Config, b Budget) (Table, error) {
 	ratios := []float64{0.001, 0.03, 0.10, 0.30, 0.50}
-	res := make([]stats.Report, len(ratios))
-	err := runCells(b, len(ratios), func(i int) error {
+	rows, err := runCells(b, len(ratios), func(i int) ([]string, error) {
 		c := cfg
 		c.CMTRatio = ratios[i]
 		f, err := newWarmed(SchemeTPFTL, c, b)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		res[i] = measureFIO(f, workload.RandRead, b.Threads, 1, b.Requests)
-		return nil
+		r := measureFIO(f, workload.RandRead, b.Threads, 1, b.Requests)
+		return []string{pct(ratios[i]), pct(r.CMTHitRatio)}, nil
 	})
 	if err != nil {
 		return Table{}, err
 	}
-	t := Table{
+	return Table{
 		Title:  "Fig 3: TPFTL CMT hit ratio vs CMT space (randread, 64 threads)",
 		Header: []string{"CMT space", "hit ratio"},
-	}
-	for i, ratio := range ratios {
-		t.Rows = append(t.Rows, []string{pct(ratio), pct(res[i].CMTHitRatio)})
-	}
-	return t, nil
+		Rows:   rows,
+	}, nil
 }
 
 // Fig6 reproduces the LeaFTL motivation: random-read throughput normalized
 // to TPFTL, and LeaFTL's single/double/triple read breakdown.
 func Fig6(cfg Config, b Budget) (Table, error) {
 	schemes := []Scheme{SchemeTPFTL, SchemeLeaFTL}
-	res := make([]stats.Report, len(schemes))
-	err := runCells(b, len(schemes), func(i int) error {
+	res, err := runCells(b, len(schemes), func(i int) (stats.Report, error) {
 		f, err := newWarmed(schemes[i], cfg, b)
 		if err != nil {
-			return err
+			return stats.Report{}, err
 		}
-		res[i] = measureFIO(f, workload.RandRead, b.Threads, 1, b.Requests)
-		return nil
+		return measureFIO(f, workload.RandRead, b.Threads, 1, b.Requests), nil
 	})
 	if err != nil {
 		return Table{}, err
@@ -710,36 +670,33 @@ func Fig6(cfg Config, b Budget) (Table, error) {
 	return t, nil
 }
 
-// filebenchRun measures one Filebench personality on a warmed device.
-func filebenchRun(f FTL, k workload.FilebenchKind, b Budget) stats.Report {
-	th := k.Threads()
-	per := b.Requests / th
-	if per < 1 {
-		per = 1
-	}
-	gens := workload.Filebench(k, f.Config().LogicalPages(), th, per, 23)
-	return measure(f, gens)
+// filebenchKinds are the Filebench personalities of Figs 7 and 20.
+var filebenchKinds = []workload.FilebenchKind{workload.Fileserver, workload.Webserver, workload.Varmail}
+
+// filebenchCells measures every Filebench personality per scheme: one
+// cell per scheme, the personalities running back-to-back on that cell's
+// device, as the paper's successive Filebench runs do. The result is
+// indexed [scheme][personality].
+func filebenchCells(cfg Config, b Budget, schemes []Scheme) ([][]stats.Report, error) {
+	return runCells(b, len(schemes), func(i int) ([]stats.Report, error) {
+		f, err := newWarmed(schemes[i], cfg, b)
+		if err != nil {
+			return nil, err
+		}
+		res := make([]stats.Report, len(filebenchKinds))
+		for j, k := range filebenchKinds {
+			th := k.Threads()
+			gens := workload.Filebench(k, f.Config().LogicalPages(), th, max(b.Requests/th, 1), 23)
+			res[j] = measure(f, gens)
+		}
+		return res, nil
+	})
 }
 
 // Fig7 reproduces the locality motivation: TPFTL vs LeaFTL on Filebench,
 // plus the webserver hit-ratio comparison.
 func Fig7(cfg Config, b Budget) (Table, error) {
-	schemes := []Scheme{SchemeTPFTL, SchemeLeaFTL}
-	kinds := []workload.FilebenchKind{workload.Fileserver, workload.Webserver, workload.Varmail}
-	// One cell per scheme; the three personalities run back-to-back on that
-	// cell's device, as the paper's successive Filebench runs do.
-	res := make([][]stats.Report, len(schemes))
-	err := runCells(b, len(schemes), func(i int) error {
-		f, err := newWarmed(schemes[i], cfg, b)
-		if err != nil {
-			return err
-		}
-		res[i] = make([]stats.Report, len(kinds))
-		for j, k := range kinds {
-			res[i][j] = filebenchRun(f, k, b)
-		}
-		return nil
-	})
+	res, err := filebenchCells(cfg, b, []Scheme{SchemeTPFTL, SchemeLeaFTL})
 	if err != nil {
 		return Table{}, err
 	}
@@ -747,7 +704,7 @@ func Fig7(cfg Config, b Budget) (Table, error) {
 		Title:  "Fig 7: TPFTL vs LeaFTL on Filebench (throughput norm. to TPFTL; hit = single-read fraction)",
 		Header: []string{"workload", "LeaFTL norm", "TPFTL norm", "LeaFTL single", "TPFTL single"},
 	}
-	for j, k := range kinds {
+	for j, k := range filebenchKinds {
 		rTP, rLE := res[0][j], res[1][j]
 		den := rTP.ReadMBps + rTP.WriteMBps
 		num := rLE.ReadMBps + rLE.WriteMBps
@@ -764,37 +721,34 @@ func Fig7(cfg Config, b Budget) (Table, error) {
 // patterns, hit ratios for reads and write amplification for writes, across
 // all five FTLs.
 func Fig14(cfg Config, b Budget) (Table, error) {
-	t := Table{
-		Title: "Fig 14: FIO at 64 threads (throughput MB/s; CMT+model hit; WA)",
-		Header: []string{"FTL", "randread", "seqread", "randwrite", "seqwrite",
-			"rr CMT", "rr model", "sr CMT", "sr model", "WA rand", "WA seq"},
-	}
 	schemes := Schemes()
-	rows := make([][]string, len(schemes))
-	err := runCells(b, len(schemes), func(i int) error {
+	rows, err := runCells(b, len(schemes), func(i int) ([]string, error) {
 		s := schemes[i]
 		f, err := newWarmed(s, cfg, b)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rr := measureFIO(f, workload.RandRead, b.Threads, 1, b.Requests)
 		sr := measureFIO(f, workload.SeqRead, b.Threads, 8, b.Requests)
 		rw := measureFIO(f, workload.RandWrite, b.Threads, 1, b.Requests)
 		sw := measureFIO(f, workload.SeqWrite, b.Threads, 8, b.Requests)
-		rows[i] = []string{
+		return []string{
 			s.String(),
 			f1(rr.ReadMBps), f1(sr.ReadMBps), f1(rw.WriteMBps), f1(sw.WriteMBps),
 			pct(rr.CMTHitRatio), pct(rr.ModelHitRatio),
 			pct(sr.CMTHitRatio), pct(sr.ModelHitRatio),
 			f2(rw.WriteAmp), f2(sw.WriteAmp),
-		}
-		return nil
+		}, nil
 	})
 	if err != nil {
 		return Table{}, err
 	}
-	t.Rows = rows
-	return t, nil
+	return Table{
+		Title: "Fig 14: FIO at 64 threads (throughput MB/s; CMT+model hit; WA)",
+		Header: []string{"FTL", "randread", "seqread", "randwrite", "seqwrite",
+			"rr CMT", "rr model", "sr CMT", "sr model", "WA rand", "WA seq"},
+		Rows: rows,
+	}, nil
 }
 
 // Fig15 measures the real host-CPU cost of the three added operations —
@@ -851,17 +805,12 @@ func Fig15() (Table, error) {
 // Fig16 reproduces the GC-frequency comparison under FIO random and
 // sequential writes.
 func Fig16(cfg Config, b Budget) (Table, error) {
-	t := Table{
-		Title:  "Fig 16: GC activity under FIO writes (count; mean GCs per simulated second)",
-		Header: []string{"FTL", "rand GCs", "rand GC/s", "seq GCs", "seq GC/s"},
-	}
 	schemes := Schemes()
-	rows := make([][]string, len(schemes))
-	err := runCells(b, len(schemes), func(i int) error {
+	rows, err := runCells(b, len(schemes), func(i int) ([]string, error) {
 		s := schemes[i]
 		f, err := newWarmed(s, cfg, b)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rw := measureFIO(f, workload.RandWrite, b.Threads, 1, b.Requests)
 		randGC := f.Collector().GCCount
@@ -869,16 +818,18 @@ func Fig16(cfg Config, b Budget) (Table, error) {
 		sw := measureFIO(f, workload.SeqWrite, b.Threads, 8, b.Requests)
 		seqGC := f.Collector().GCCount
 		seqRate := rate(seqGC, sw.Makespan)
-		rows[i] = []string{
+		return []string{
 			s.String(), fmt.Sprint(randGC), f2(randRate), fmt.Sprint(seqGC), f2(seqRate),
-		}
-		return nil
+		}, nil
 	})
 	if err != nil {
 		return Table{}, err
 	}
-	t.Rows = rows
-	return t, nil
+	return Table{
+		Title:  "Fig 16: GC activity under FIO writes (count; mean GCs per simulated second)",
+		Header: []string{"FTL", "rand GCs", "rand GC/s", "seq GCs", "seq GC/s"},
+		Rows:   rows,
+	}, nil
 }
 
 func rate(n int64, span nand.Time) float64 {
@@ -891,17 +842,12 @@ func rate(n int64, span nand.Time) float64 {
 // Fig17 reproduces the GC-time breakdown: the share of LearnedFTL's GC time
 // spent on sorting + training, across increasing run lengths.
 func Fig17(cfg Config, b Budget) (Table, error) {
-	t := Table{
-		Title:  "Fig 17: sorting+training share of LearnedFTL GC time (paper: <= 3.2%)",
-		Header: []string{"randwrite requests", "GC busy", "sort+train", "share"},
-	}
 	mults := []float64{0.5, 1, 2}
-	rows := make([][]string, len(mults))
-	err := runCells(b, len(mults), func(i int) error {
+	rows, err := runCells(b, len(mults), func(i int) ([]string, error) {
 		mult := mults[i]
 		f, err := newWarmed(SchemeLearnedFTL, cfg, b)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		measureFIO(f, workload.RandWrite, b.Threads, 1, int(float64(b.Requests)*mult))
 		col := f.Collector()
@@ -909,60 +855,53 @@ func Fig17(cfg Config, b Budget) (Table, error) {
 		if col.GCBusyTime > 0 {
 			share = float64(col.SortTrainNS) / float64(col.GCBusyTime)
 		}
-		rows[i] = []string{
+		return []string{
 			fmt.Sprint(int(float64(b.Requests) * mult)),
 			ms(col.GCBusyTime), ms(nand.Time(col.SortTrainNS)),
 			fmt.Sprintf("%.2f%%", share*100),
-		}
-		return nil
+		}, nil
 	})
 	if err != nil {
 		return Table{}, err
 	}
-	t.Rows = rows
-	return t, nil
+	return Table{
+		Title:  "Fig 17: sorting+training share of LearnedFTL GC time (paper: <= 3.2%)",
+		Header: []string{"randwrite requests", "GC busy", "sort+train", "share"},
+		Rows:   rows,
+	}, nil
 }
 
 // Fig18 reproduces the overhead ablations: (a) random-write throughput with
 // and without the training+sorting charge, (b) read throughput of
 // LearnedFTL vs "ideal LearnedFTL" (no prediction cost, full DRAM map).
 func Fig18(cfg Config, b Budget) (Table, error) {
-	runWrite := func(charge bool) (float64, error) {
-		opt := DefaultLearnedOptions()
-		opt.ChargeTraining = charge
-		f, err := NewLearned(cfg, opt)
-		if err != nil {
-			return 0, err
-		}
-		warmDevice(f, b)
-		r := measureFIO(f, workload.RandWrite, b.Threads, 1, b.Requests)
-		return r.WriteMBps, nil
+	// The six ablation runs are independent devices: one cell each, paired
+	// as (LearnedFTL, counterpart) per table row.
+	def := DefaultLearnedOptions()
+	noTrain, noPredict := def, def
+	noTrain.ChargeTraining = false
+	noPredict.PredictCost = 0
+	cells := []struct {
+		opt     Options
+		pattern workload.Pattern
+		ioPages int
+	}{
+		{def, workload.RandWrite, 1}, {noTrain, workload.RandWrite, 1},
+		{def, workload.RandRead, 1}, {noPredict, workload.RandRead, 1},
+		{def, workload.SeqRead, 8}, {noPredict, workload.SeqRead, 8},
 	}
-	runRead := func(predictCost nand.Time, p workload.Pattern, io int) (float64, error) {
-		opt := DefaultLearnedOptions()
-		opt.PredictCost = predictCost
-		f, err := NewLearned(cfg, opt)
+	vals, err := runCells(b, len(cells), func(i int) (float64, error) {
+		c := cells[i]
+		f, err := NewLearned(cfg, c.opt)
 		if err != nil {
 			return 0, err
 		}
 		warmDevice(f, b)
-		r := measureFIO(f, p, b.Threads, io, b.Requests)
+		r := measureFIO(f, c.pattern, b.Threads, c.ioPages, b.Requests)
+		if c.pattern == workload.RandWrite {
+			return r.WriteMBps, nil
+		}
 		return r.ReadMBps, nil
-	}
-	// The six ablation runs are independent devices: one cell each.
-	cells := []func() (float64, error){
-		func() (float64, error) { return runWrite(true) },
-		func() (float64, error) { return runWrite(false) },
-		func() (float64, error) { return runRead(DefaultLearnedOptions().PredictCost, workload.RandRead, 1) },
-		func() (float64, error) { return runRead(0, workload.RandRead, 1) },
-		func() (float64, error) { return runRead(DefaultLearnedOptions().PredictCost, workload.SeqRead, 8) },
-		func() (float64, error) { return runRead(0, workload.SeqRead, 8) },
-	}
-	vals := make([]float64, len(cells))
-	err := runCells(b, len(cells), func(i int) error {
-		v, err := cells[i]()
-		vals[i] = v
-		return err
 	})
 	if err != nil {
 		return Table{}, err
@@ -984,34 +923,31 @@ func Fig18(cfg Config, b Budget) (Table, error) {
 // Fig19 reproduces the RocksDB experiment: db_bench readrandom/readseq with
 // one thread over an 80%-full LSM-shaped database.
 func Fig19(cfg Config, b Budget) (Table, error) {
-	t := Table{
-		Title:  "Fig 19: RocksDB db_bench model, 1 thread (throughput; hit ratios)",
-		Header: []string{"FTL", "readrandom MB/s", "readseq MB/s", "rr CMT", "rr model", "rs CMT", "rs model"},
-	}
 	lp := cfg.LogicalPages()
 	schemes := Schemes()
-	rows := make([][]string, len(schemes))
-	err := runCells(b, len(schemes), func(i int) error {
+	rows, err := runCells(b, len(schemes), func(i int) ([]string, error) {
 		s := schemes[i]
 		f, err := New(s, cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		sim.Warmed(f, workload.RocksDBFill(lp, 0.8, float64(b.WarmExtra), 3), 0)
 		rr := measure(f, workload.RocksDBReadRandom(lp, 0.8, 1, b.Requests, 5))
 		rs := measure(f, workload.RocksDBReadSeq(lp, 0.8, 1, b.Requests, 5))
-		rows[i] = []string{
+		return []string{
 			s.String(), f1(rr.ReadMBps), f1(rs.ReadMBps),
 			pct(rr.CMTHitRatio), pct(rr.ModelHitRatio),
 			pct(rs.CMTHitRatio), pct(rs.ModelHitRatio),
-		}
-		return nil
+		}, nil
 	})
 	if err != nil {
 		return Table{}, err
 	}
-	t.Rows = rows
-	return t, nil
+	return Table{
+		Title:  "Fig 19: RocksDB db_bench model, 1 thread (throughput; hit ratios)",
+		Header: []string{"FTL", "readrandom MB/s", "readseq MB/s", "rr CMT", "rr model", "rs CMT", "rs model"},
+		Rows:   rows,
+	}, nil
 }
 
 // Fig20 reproduces the Filebench comparison across all five FTLs.
@@ -1021,25 +957,17 @@ func Fig20(cfg Config, b Budget) (Table, error) {
 		Header: []string{"FTL", "fileserver", "webserver", "varmail"},
 	}
 	schemes := Schemes()
-	rows := make([][]string, len(schemes))
-	err := runCells(b, len(schemes), func(i int) error {
-		s := schemes[i]
-		f, err := newWarmed(s, cfg, b)
-		if err != nil {
-			return err
-		}
-		row := []string{s.String()}
-		for _, k := range []workload.FilebenchKind{workload.Fileserver, workload.Webserver, workload.Varmail} {
-			r := filebenchRun(f, k, b)
-			row = append(row, f1(r.ReadMBps+r.WriteMBps))
-		}
-		rows[i] = row
-		return nil
-	})
+	res, err := filebenchCells(cfg, b, schemes)
 	if err != nil {
 		return Table{}, err
 	}
-	t.Rows = rows
+	for i, s := range schemes {
+		row := []string{s.String()}
+		for _, r := range res[i] {
+			row = append(row, f1(r.ReadMBps+r.WriteMBps))
+		}
+		t.Rows = append(t.Rows, row)
+	}
 	return t, nil
 }
 
@@ -1069,11 +997,12 @@ func Fig21(cfg Config, b Budget) (Table, error) {
 	}
 	for ti, spec := range specs {
 		row := []string{spec.Name}
-		for si := range schemes {
-			row = append(row, ms(res[ti][si].P99))
+		cells := res[ti*len(schemes) : (ti+1)*len(schemes)]
+		for _, r := range cells {
+			row = append(row, ms(r.P99))
 		}
-		for si := range schemes {
-			row = append(row, ms(res[ti][si].P999))
+		for _, r := range cells {
+			row = append(row, ms(r.P999))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -1081,26 +1010,17 @@ func Fig21(cfg Config, b Budget) (Table, error) {
 }
 
 // runTraceGrid measures every (trace × scheme) combination as one sweep
-// cell with its own warmed device, returning reports indexed
-// [trace][scheme].
-func runTraceGrid(cfg Config, b Budget, specs []workload.TraceSpec, schemes []Scheme) ([][]stats.Report, error) {
-	res := make([][]stats.Report, len(specs))
-	for ti := range res {
-		res[ti] = make([]stats.Report, len(schemes))
-	}
-	err := runCells(b, len(specs)*len(schemes), func(i int) error {
+// cell with its own warmed device, returning reports trace-major: trace
+// ti's reports are res[ti*len(schemes):(ti+1)*len(schemes)].
+func runTraceGrid(cfg Config, b Budget, specs []workload.TraceSpec, schemes []Scheme) ([]stats.Report, error) {
+	return runCells(b, len(specs)*len(schemes), func(i int) (stats.Report, error) {
 		ti, si := i/len(schemes), i%len(schemes)
 		f, err := newWarmed(schemes[si], cfg, b)
 		if err != nil {
-			return err
+			return stats.Report{}, err
 		}
-		res[ti][si] = runTrace(f, specs[ti], b)
-		return nil
+		return runTrace(f, specs[ti], b), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // Fig22 reproduces the energy comparison over the four traces, normalized
@@ -1117,11 +1037,12 @@ func Fig22(cfg Config, b Budget) (Table, error) {
 		return Table{}, err
 	}
 	for ti, spec := range specs {
-		base := res[ti][0].EnergyMJ
+		cells := res[ti*len(schemes) : (ti+1)*len(schemes)]
+		base := cells[0].EnergyMJ
 		row := []string{spec.Name}
-		for si := range schemes {
+		for _, r := range cells {
 			if base > 0 {
-				row = append(row, f2(res[ti][si].EnergyMJ/base))
+				row = append(row, f2(r.EnergyMJ/base))
 			} else {
 				row = append(row, "n/a")
 			}
@@ -1138,23 +1059,15 @@ func Table2(cfg Config, b Budget) (Table, error) {
 		Title:  "Table II: synthetic trace generators vs published characteristics",
 		Header: []string{"trace", "#I/O (paper)", "#I/O (gen)", "avg KB (paper)", "avg KB (gen)", "read% (paper)", "read% (gen)"},
 	}
-	specs := workload.Traces()
-	rows := make([][]string, len(specs))
-	err := runCells(b, len(specs), func(i int) error {
-		spec := specs[i]
+	for _, spec := range workload.Traces() {
 		reqs, avgKB, readFrac := spec.Stats(cfg.LogicalPages(), b.TraceScale)
-		rows[i] = []string{
+		t.Rows = append(t.Rows, []string{
 			spec.Name,
 			fmt.Sprint(spec.Requests), fmt.Sprintf("%d (×%.2f)", reqs, b.TraceScale),
 			f1(spec.AvgKB), f1(avgKB),
 			pct(spec.ReadRatio), pct(readFrac),
-		}
-		return nil
-	})
-	if err != nil {
-		return Table{}, err
+		})
 	}
-	t.Rows = rows
 	return t, nil
 }
 
@@ -1190,9 +1103,7 @@ func GCSweep(cfg Config, b Budget) (Table, error) {
 	}
 	ratios := opLadder(cfg, b)
 	schemes := Schemes()
-	nCells := len(schemes) * len(pols) * len(ratios)
-	rows := make([][]string, nCells)
-	err = runCells(b, nCells, func(i int) error {
+	rows, err := runCells(b, len(schemes)*len(pols)*len(ratios), func(i int) ([]string, error) {
 		si := i / (len(pols) * len(ratios))
 		pi := i / len(ratios) % len(pols)
 		ri := i % len(ratios)
@@ -1201,19 +1112,18 @@ func GCSweep(cfg Config, b Budget) (Table, error) {
 		c.GCPolicy = pols[pi]
 		f, err := newWarmed(schemes[si], c, b)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		r := measureFIO(f, workload.RandWrite, b.Threads, 1, b.Requests)
 		movedPerGC := 0.0
 		if col := f.Collector(); col.GCCount > 0 {
 			movedPerGC = float64(col.GCPagesMoved) / float64(col.GCCount)
 		}
-		rows[i] = []string{
+		return []string{
 			schemes[si].String(), string(pols[pi]), pct(ratios[ri]),
 			f2(r.WriteAmp), fmt.Sprint(r.GCCount), f1(movedPerGC),
 			fmt.Sprint(r.Wear.MaxErases), f2(r.Wear.CV), f1(r.LifetimeTBW),
-		}
-		return nil
+		}, nil
 	})
 	if err != nil {
 		return Table{}, err
@@ -1223,6 +1133,18 @@ func GCSweep(cfg Config, b Budget) (Table, error) {
 		Header: []string{"FTL", "policy", "OP", "WA", "GCs", "moved/GC", "max PE", "PE CV", "life TB"},
 		Rows:   rows,
 	}, nil
+}
+
+// halfSaturation is the open-loop operating point of gclat and faultsweep:
+// Budget.OfferedIOPS if set, else half of what this very device sustains
+// under closed-loop random writes from threads streams. The probe is
+// deterministic, so every cell of one scheme and config derives the same
+// point.
+func halfSaturation(f FTL, b Budget, threads int) float64 {
+	if b.OfferedIOPS > 0 {
+		return b.OfferedIOPS
+	}
+	return 0.5 * measureFIO(f, workload.RandWrite, threads, 1, b.Requests/2).IOPS
 }
 
 // gcLatModes are the two collection modes gclat contrasts.
@@ -1244,39 +1166,23 @@ func GCLat(cfg Config, b Budget) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	threads := b.Threads
-	if threads < 1 {
-		threads = 1
-	}
+	threads, per := b.threads(1)
 	schemes := Schemes()
-	rows := make([][]string, len(schemes)*len(gcLatModes))
-	err = runCells(b, len(rows), func(i int) error {
+	rows, err := runCells(b, len(schemes)*len(gcLatModes), func(i int) ([]string, error) {
 		si, mi := i/len(gcLatModes), i%len(gcLatModes)
 		f, err := newWarmed(schemes[si], cfg, b)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		rate := b.OfferedIOPS
-		if rate <= 0 {
-			// Saturation probe: closed-loop randwrite on this very device.
-			// Deterministic, so the foreground and background cells of one
-			// scheme derive the same operating point.
-			probe := measureFIO(f, workload.RandWrite, threads, 1, b.Requests/2)
-			rate = 0.5 * probe.IOPS
-		}
-		per := b.Requests / threads
-		if per < 1 {
-			per = 1
-		}
+		rate := halfSaturation(f, b, threads)
 		streams := workload.OpenFIO("randwrite", workload.RandWrite,
 			f.Config().LogicalPages(), 1, threads, per, kind, rate, 2221)
-		r := measureOpenWith(f, streams, mi == 1)
-		rows[i] = []string{
+		r := measureOpen(f, streams, mi == 1)
+		return []string{
 			schemes[si].String(), gcLatModes[mi], f0(rate), f0(r.IOPS),
 			lat(r.MeanLat), lat(r.P99), lat(r.P999), pct(r.WaitShare),
 			fmt.Sprint(r.GCCount), fmt.Sprint(r.BGGCCount),
-		}
-		return nil
+		}, nil
 	})
 	if err != nil {
 		return Table{}, err
@@ -1306,20 +1212,19 @@ var mountFills = []float64{0.25, 0.50, 0.75, 1.00}
 // buffering change how many pages a fill leaves programmed.
 func MountLat(cfg Config, b Budget) (Table, error) {
 	schemes := Schemes()
-	rows := make([][]string, len(schemes)*len(mountFills))
-	err := runCells(b, len(rows), func(i int) error {
+	rows, err := runCells(b, len(schemes)*len(mountFills), func(i int) ([]string, error) {
 		si, fi := i/len(mountFills), i%len(mountFills)
 		f, err := New(schemes[si], cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rec, ok := f.(ftl.CrashRecoverer)
 		if !ok {
-			return fmt.Errorf("learnedftl: %s does not support crash recovery", f.Name())
+			return nil, fmt.Errorf("learnedftl: %s does not support crash recovery", f.Name())
 		}
 		sh, ok := f.(interface{ ShadowL2P() []nand.PPN })
 		if !ok {
-			return fmt.Errorf("learnedftl: %s does not expose a shadow L2P", f.Name())
+			return nil, fmt.Errorf("learnedftl: %s does not expose a shadow L2P", f.Name())
 		}
 		lp := f.Config().LogicalPages()
 		fill := int64(float64(lp) * mountFills[fi])
@@ -1352,12 +1257,11 @@ func MountLat(cfg Config, b Budget) (Table, error) {
 		if cfg.Fault.Enabled {
 			ms, msOK := f.(interface{ MountScanStats() persist.ScanStats })
 			if !msOK {
-				return fmt.Errorf("learnedftl: %s does not expose mount scan stats", f.Name())
+				return nil, fmt.Errorf("learnedftl: %s does not expose mount scan stats", f.Name())
 			}
 			row = append(row, fmt.Sprint(ms.MountScanStats().LostMappings))
 		}
-		rows[i] = row
-		return nil
+		return row, nil
 	})
 	if err != nil {
 		return Table{}, err
@@ -1412,16 +1316,15 @@ func CrashSweep(cfg Config, b Budget) (Table, error) {
 	if window < 64 {
 		window = 64
 	}
-	rows := make([][]string, len(schemes))
-	err := runCells(b, len(schemes), func(i int) error {
+	rows, err := runCells(b, len(schemes), func(i int) ([]string, error) {
 		s := schemes[i]
 		f, err := newWarmed(s, cfg, b)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		snap, err := SnapshotDevice(f)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		lp := f.Config().LogicalPages()
 		newRun := func() (crash.Device, []sim.Generator, error) {
@@ -1442,20 +1345,19 @@ func CrashSweep(cfg Config, b Budget) (Table, error) {
 			Seed:       9001 + int64(i),
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		verdict := "clean"
 		if !res.OK() {
 			verdict = fmt.Sprintf("DIRTY (%d violations)", len(res.Violations))
 		}
-		rows[i] = []string{
+		return []string{
 			s.String(), fmt.Sprint(res.WindowOps), fmt.Sprint(res.WindowErases),
 			fmt.Sprint(res.Points), fmt.Sprint(res.Fired), fmt.Sprint(res.TornCuts),
 			fmt.Sprint(res.LostAcked), fmt.Sprint(res.TornDiscarded),
 			fmt.Sprint(res.LostMappings),
 			lat(res.MountMean()), lat(res.MountMax), verdict,
-		}
-		return nil
+		}, nil
 	})
 	if err != nil {
 		return Table{}, err
@@ -1545,35 +1447,29 @@ func ScaleExp(cfg Config, b Budget) (Table, error) {
 		return Table{}, err
 	}
 	schemes := Schemes()
-	rows := make([][]string, len(rungs)*len(schemes))
-	err = runCells(b, len(rows), func(i int) error {
+	rows, err := runCells(b, len(rungs)*len(schemes), func(i int) ([]string, error) {
 		ri, si := i/len(schemes), i%len(schemes)
 		c := rungs[ri]
 		f, err := New(schemes[si], c)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// The simulated-program count of the warm-up is the deterministic,
 		// contention-free cost signal; the wall clock beside it includes
-		// whatever co-running cells the worker pool scheduled. Both come
-		// straight from the warm-up result now instead of being re-derived
-		// from the lifetime counters.
+		// whatever co-running cells the worker pool scheduled.
 		ws := warmDevice(f, b)
-		warmSecs := ws.Seconds
-		warmProgs := ws.Programs
 		r := measureFIO(f, workload.RandWrite, b.Threads, 1, b.Requests)
 		fp := f.Flash().Footprint()
-		rows[i] = []string{
+		return []string{
 			schemes[si].String(),
 			fmt.Sprintf("%.2fGiB", float64(c.Geometry.TotalBytes())/(1<<30)),
 			fmt.Sprint(c.Geometry.TotalBlocks()),
 			fmt.Sprintf("%.2f", fp.BytesPerPage),
 			fmt.Sprintf("%.1f", float64(fp.TotalBytes)/(1<<20)),
-			fmt.Sprintf("%.2f", float64(warmProgs)/1e6),
-			fmt.Sprintf("%.2fs", warmSecs),
+			fmt.Sprintf("%.2f", float64(ws.Programs)/1e6),
+			fmt.Sprintf("%.2fs", ws.Seconds),
 			f0(r.IOPS), f2(r.WriteAmp),
-		}
-		return nil
+		}, nil
 	})
 	if err != nil {
 		return Table{}, err
@@ -1632,50 +1528,36 @@ func FaultSweep(cfg Config, b Budget) (Table, error) {
 	if b.FaultBER > 0 {
 		bers = []float64{b.FaultBER}
 	}
-	threads := b.Threads
-	if threads < 2 {
-		threads = 2
-	}
-	rows := make([][]string, len(schemes)*len(bers))
-	err = runCells(b, len(rows), func(i int) error {
+	threads, per := b.threads(2)
+	rows, err := runCells(b, len(schemes)*len(bers), func(i int) ([]string, error) {
 		si, bi := i/len(bers), i%len(bers)
 		fcfg := cfg
 		fcfg.Fault = faultSweepConfig(bers[bi], schemes[si])
 		f, err := newWarmed(schemes[si], fcfg, b)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		rate := b.OfferedIOPS
-		if rate <= 0 {
-			// Saturation probe on this very device (the GCLat idiom):
-			// writes are the slow half of the mix, so half the closed-loop
-			// randwrite rate lands the whole mix below the knee with idle
-			// gaps left for the scrubber. Retries slow the probe too, so
-			// the operating point self-scales with the rung's BER.
-			probe := measureFIO(f, workload.RandWrite, threads, 1, b.Requests/2)
-			rate = 0.5 * probe.IOPS
-		}
+		// Writes are the slow half of the mix, so half the closed-loop
+		// randwrite rate lands the whole mix below the knee with idle gaps
+		// left for the scrubber. Retries slow the probe too, so the
+		// operating point self-scales with the rung's BER.
+		rate := halfSaturation(f, b, threads)
 		spt := threads / 2
-		per := b.Requests / threads
-		if per < 1 {
-			per = 1
-		}
 		lp := f.Config().LogicalPages()
 		streams := append(
 			workload.OpenFIO("randread", workload.RandRead, lp, 1, spt, per, kind, 0.7*rate, 3331),
 			workload.OpenFIO("randwrite", workload.RandWrite, lp, 1, spt, per, kind, 0.3*rate, 3433)...)
-		r := measureOpenWith(f, streams, true)
+		r := measureOpen(f, streams, true)
 		refreshWA := "-"
 		if hw := r.Flash.Programs[nand.OpHostData]; hw > 0 {
 			refreshWA = f2(float64(r.RefreshPages) / float64(hw))
 		}
-		rows[i] = []string{
+		return []string{
 			schemes[si].String(), sci(bers[bi]), f0(r.IOPS),
 			lat(r.P99), lat(r.P999),
 			fmt.Sprint(r.Rel.Retries), fmt.Sprint(r.Rel.HostUncorrectable), sci(r.UBER),
 			fmt.Sprint(r.RefreshPages), refreshWA, fmt.Sprint(r.GrownBadBlocks),
-		}
-		return nil
+		}, nil
 	})
 	if err != nil {
 		return Table{}, err
@@ -1753,12 +1635,8 @@ func ScrubLat(cfg Config, b Budget) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	threads := b.Threads
-	if threads < 1 {
-		threads = 1
-	}
-	rows := make([][]string, len(schemes)*len(scrubModes))
-	err = runCells(b, len(rows), func(i int) error {
+	threads, per := b.threads(1)
+	rows, err := runCells(b, len(schemes)*len(scrubModes), func(i int) ([]string, error) {
 		si, mi := i/len(scrubModes), i%len(scrubModes)
 		fcfg := cfg
 		fcfg.Fault = scrubLatConfig(mi == 1)
@@ -1769,16 +1647,12 @@ func ScrubLat(cfg Config, b Budget) (Table, error) {
 		bs.WarmExtra = 0
 		f, err := newWarmed(schemes[si], fcfg, bs)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		lp := f.Config().LogicalPages()
 		hot := int64(4 * cfg.Geometry.PagesPerBlock)
 		if hot > lp {
 			hot = lp
-		}
-		per := b.Requests / threads
-		if per < 1 {
-			per = 1
 		}
 		rate := b.OfferedIOPS
 		if rate <= 0 {
@@ -1804,14 +1678,13 @@ func ScrubLat(cfg Config, b Budget) (Table, error) {
 		f.Flash().SetFaultModel(fault.New(fc, int64(cfg.Geometry.PageSize)*8))
 		streams := workload.OpenFIO("hotread", workload.RandRead,
 			hot, 1, threads, per, kind, rate, 4447)
-		r := measureOpenWith(f, streams, true)
-		rows[i] = []string{
+		r := measureOpen(f, streams, true)
+		return []string{
 			schemes[si].String(), scrubModes[mi], f0(rate), f0(r.IOPS),
 			lat(r.P99), lat(r.P999),
 			fmt.Sprint(r.Rel.HostUncorrectable), sci(r.UBER),
 			fmt.Sprint(r.ScrubCount), fmt.Sprint(r.RefreshPages),
-		}
-		return nil
+		}, nil
 	})
 	if err != nil {
 		return Table{}, err

@@ -12,10 +12,8 @@ import (
 
 	"learnedftl/internal/fleet"
 	"learnedftl/internal/nand"
-	"learnedftl/internal/persist"
 	"learnedftl/internal/sim"
 	"learnedftl/internal/stats"
-	"learnedftl/internal/sweep"
 	"learnedftl/internal/workload"
 )
 
@@ -87,40 +85,26 @@ func RunOpenLoopFleet(a *FleetArray, streams []Stream, opt OpenOptions) RunResul
 // newWarmedFleet builds n identical warmed devices sharing one warm-up:
 // device 0 comes from newWarmed — checkpoint-cache aware — and the
 // remaining n-1 are restored from its bit-exact in-memory snapshot instead
-// of re-simulating n warm-ups. For a scheme without snapshot support each
-// clone warms independently.
+// of re-simulating n warm-ups.
 func newWarmedFleet(s Scheme, cfg Config, b Budget, n int) ([]FTL, error) {
 	f0, err := newWarmed(s, cfg, b)
 	if err != nil {
 		return nil, err
 	}
-	devs := make([]FTL, n)
-	devs[0] = f0
+	devs := []FTL{f0}
 	if n == 1 {
 		return devs, nil
 	}
-	dev, ok := f0.(persist.Device)
-	if !ok {
-		for i := 1; i < n; i++ {
-			fi, err := New(s, cfg)
-			if err != nil {
-				return nil, err
-			}
-			warmDevice(fi, b)
-			devs[i] = fi
-		}
-		return devs, nil
+	data, err := SnapshotDevice(f0)
+	if err != nil {
+		return nil, err
 	}
-	data := persist.Snapshot(dev, deviceFingerprint(f0))
-	for i := 1; i < n; i++ {
-		fi, err := New(s, cfg)
+	for len(devs) < n {
+		fi, err := RestoreDevice(s, cfg, data)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := restoreInto(fi, data); err != nil {
-			return nil, err
-		}
-		devs[i] = fi
+		devs = append(devs, fi)
 	}
 	return devs, nil
 }
@@ -140,25 +124,6 @@ type FleetCell struct {
 	RebuiltUnits  int64                `json:"rebuilt_units,omitempty"`
 	PendingUnits  int64                `json:"pending_units,omitempty"`
 	Tenants       []stats.StreamReport `json:"tenants,omitempty"`
-}
-
-// fleetPolicyList resolves the budget's placement subset, erroring on
-// typos so a misspelled policy never silently collapses the sweep.
-func (b Budget) fleetPolicyList() ([]FleetPolicy, error) {
-	if b.FleetPlacement == "" {
-		return FleetPolicies(), nil
-	}
-	var out []FleetPolicy
-	for _, s := range strings.Split(b.FleetPlacement, ",") {
-		name := strings.TrimSpace(s)
-		p, ok := ParseFleetPolicy(name)
-		if !ok || name == "" {
-			return nil, fmt.Errorf("learnedftl: unknown placement policy %q (want one of %v)",
-				name, FleetPolicies())
-		}
-		out = append(out, p)
-	}
-	return out, nil
 }
 
 // fleetScenarios are the two columns of the fleet experiment: the healthy
@@ -201,29 +166,25 @@ func FleetExp(cfg Config, b Budget) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	threads := b.Threads
-	if threads < 2 {
-		threads = 2
-	}
-	const tenants = 2
-	g := sweep.NewGrid(len(policies), len(fleetScenarios))
-	rows := make([][]string, g.Cells()*tenants)
-	err = runCells(b, g.Cells(), func(i int) error {
-		pol := policies[g.Coord(i, 0)]
-		scenario := fleetScenarios[g.Coord(i, 1)]
+	threads, per := b.threads(2)
+	// One cell per placement × scenario; each returns its BENCH record,
+	// from which the table renders that cell's per-tenant rows.
+	nScen := len(fleetScenarios)
+	cells, err := runCells(b, len(policies)*nScen, func(i int) (FleetCell, error) {
+		pol, scenario := policies[i/nScen], fleetScenarios[i%nScen]
 		devs, err := newWarmedFleet(SchemeLearnedFTL, cfg, b, n)
 		if err != nil {
-			return err
+			return FleetCell{}, err
 		}
 		arr, err := NewFleet(FleetConfig{
 			Devices: n, Policy: pol, Replicas: k, Util: fleetUtil,
 		}, devs)
 		if err != nil {
-			return err
+			return FleetCell{}, err
 		}
 		if scenario == "failure" {
 			if err := arr.ScheduleFailure(1, int64(b.Requests)/2, "injected mid-run fault"); err != nil {
-				return err
+				return FleetCell{}, err
 			}
 		}
 		// Operating point: a quarter of the ideal request rate at the run's
@@ -250,10 +211,6 @@ func FleetExp(cfg Config, b Budget) (Table, error) {
 		// fan-out and replication write costs).
 		lp := arr.Layout().LogicalPages
 		spt := threads / 2
-		per := b.Requests / threads
-		if per < 1 {
-			per = 1
-		}
 		hot := lp / 4
 		if hot < 1 {
 			hot = 1
@@ -275,30 +232,7 @@ func FleetExp(cfg Config, b Budget) (Table, error) {
 		host := stats.BuildReport("fleet/"+string(pol), arr.Collector(), sum,
 			res.Makespan(), cfg.Geometry.PageSize, cfg.Energy)
 		fr := stats.AggregateFleet(host, devReports)
-		failed := "-"
-		if len(fr.Failed) > 0 {
-			names := make([]string, len(fr.Failed))
-			for j, df := range fr.Failed {
-				names[j] = fmt.Sprintf("dev%d", df.Device)
-			}
-			failed = strings.Join(names, "+")
-		}
-		rebuilt := "-"
-		if pol == FleetReplicate && scenario == "failure" {
-			rebuilt = fmt.Sprintf("%d/%d", arr.Rebuilt(), arr.Rebuilt()+arr.PendingRebuild())
-		}
-		for j, sr := range fr.Host.Streams {
-			if j >= tenants {
-				break
-			}
-			rows[i*tenants+j] = []string{
-				string(pol), scenario, sr.Name,
-				fmt.Sprint(sr.Requests), lat(sr.P99), lat(sr.P999), pct(sr.WaitShare),
-				f2(fr.WearCVDevices), failed,
-				fmt.Sprint(arr.LostRequests()), rebuilt,
-			}
-		}
-		b.fleet.add(i, FleetCell{
+		return FleetCell{
 			Policy:        string(pol),
 			Scenario:      scenario,
 			Devices:       n,
@@ -309,16 +243,38 @@ func FleetExp(cfg Config, b Budget) (Table, error) {
 			RebuiltUnits:  arr.Rebuilt(),
 			PendingUnits:  arr.PendingRebuild(),
 			Tenants:       fr.Host.Streams,
-		})
-		return nil
+		}, nil
 	})
 	if err != nil {
 		return Table{}, err
 	}
-	return Table{
+	t := Table{
 		Title: fmt.Sprintf("Fleet: %d-device LearnedFTL array, two tenants, per placement policy (failure = device 1 killed mid-run; rebuild = re-replicated units done/total)", n),
 		Header: []string{"placement", "scenario", "tenant", "requests", "p99", "p99.9", "wait",
 			"wear CV dev", "failed", "lost req", "rebuilt"},
-		Rows: rows,
-	}, nil
+		fleet: cells,
+	}
+	for _, c := range cells {
+		failed := "-"
+		if len(c.Failed) > 0 {
+			names := make([]string, len(c.Failed))
+			for j, df := range c.Failed {
+				names[j] = fmt.Sprintf("dev%d", df.Device)
+			}
+			failed = strings.Join(names, "+")
+		}
+		rebuilt := "-"
+		if c.Policy == string(FleetReplicate) && c.Scenario == "failure" {
+			rebuilt = fmt.Sprintf("%d/%d", c.RebuiltUnits, c.RebuiltUnits+c.PendingUnits)
+		}
+		for _, sr := range c.Tenants {
+			t.Rows = append(t.Rows, []string{
+				c.Policy, c.Scenario, sr.Name,
+				fmt.Sprint(sr.Requests), lat(sr.P99), lat(sr.P999), pct(sr.WaitShare),
+				f2(c.WearCVDevices), failed,
+				fmt.Sprint(c.LostRequests), rebuilt,
+			})
+		}
+	}
+	return t, nil
 }

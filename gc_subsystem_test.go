@@ -71,7 +71,7 @@ func TestBackgroundGCCutsWriteTail(t *testing.T) {
 			per := b.Requests / threads
 			streams := workload.OpenFIO("randwrite", workload.RandWrite,
 				f.Config().LogicalPages(), 1, threads, per, sim.ArrivalPoisson, rate, 2221)
-			r := measureOpenWith(f, streams, bg)
+			r := measureOpen(f, streams, bg)
 			return int64(r.P999), r.BGGCCount
 		}
 		fg, fgBG := runMode(false)

@@ -103,15 +103,16 @@ var latBreakPatterns = []workload.Pattern{workload.RandRead, workload.RandWrite}
 // one-line answer to why a scheme's tail is slow.
 func LatBreak(cfg Config, b Budget) (Table, error) {
 	schemes := Schemes()
-	nPat := len(latBreakPatterns)
-	rows := make([][]string, len(schemes)*nPat)
-	err := runCells(b, len(schemes), func(i int) error {
+	// One cell per scheme; its patterns run back-to-back on one device,
+	// each yielding a BENCH record from which the table renders a row.
+	res, err := runCells(b, len(schemes), func(i int) ([]ObsCell, error) {
 		s := schemes[i]
 		f, err := newWarmed(s, cfg, b)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		for j, p := range latBreakPatterns {
+		var cells []ObsCell
+		for _, p := range latBreakPatterns {
 			tr := NewTracer()
 			tr.SetRegistry(StandardRegistry(f))
 			AttachTracer(f, tr)
@@ -119,32 +120,38 @@ func LatBreak(cfg Config, b Budget) (Table, error) {
 			AttachTracer(f, nil)
 			bd := rep.Obs
 			if bd == nil {
-				return fmt.Errorf("latbreak: %s/%s produced no breakdown", s, p)
+				return nil, fmt.Errorf("latbreak: %s/%s produced no breakdown", s, p)
 			}
-			cause, share := bd.TailCause()
-			rows[i*nPat+j] = []string{
-				f.Name(), p.String(),
-				lat(bd.Mean()),
-				lat(bd.PhaseMean(PhaseLookup)),
-				lat(bd.PhaseMean(PhaseTrans)),
-				lat(bd.PhaseMean(PhaseGCStall)),
-				lat(bd.PhaseMean(PhaseData)),
-				lat(bd.P999),
-				lat(bd.TailMean()),
-				fmt.Sprintf("%s %.0f%%", cause, share*100),
-			}
-			b.obs.add(i*nPat+j, ObsCell{FTL: f.Name(), Pattern: p.String(), Breakdown: *bd})
+			cells = append(cells, ObsCell{FTL: f.Name(), Pattern: p.String(), Breakdown: *bd})
 		}
-		return nil
+		return cells, nil
 	})
 	if err != nil {
 		return Table{}, err
 	}
-	return Table{
+	t := Table{
 		Title:  "Latency attribution: mean and P99.9 decomposed by phase (lookup = DRAM model/CMT compute, trans = translation-page flash, gc = foreground GC stall, data = flash data time)",
 		Header: []string{"FTL", "pattern", "mean", "lookup", "trans", "gc", "data", "p99.9", "tail mean", "tail cause"},
-		Rows:   rows,
-	}, nil
+	}
+	for _, cells := range res {
+		t.obs = append(t.obs, cells...)
+	}
+	for _, c := range t.obs {
+		bd := c.Breakdown
+		cause, share := bd.TailCause()
+		t.Rows = append(t.Rows, []string{
+			c.FTL, c.Pattern,
+			lat(bd.Mean()),
+			lat(bd.PhaseMean(PhaseLookup)),
+			lat(bd.PhaseMean(PhaseTrans)),
+			lat(bd.PhaseMean(PhaseGCStall)),
+			lat(bd.PhaseMean(PhaseData)),
+			lat(bd.P999),
+			lat(bd.TailMean()),
+			fmt.Sprintf("%s %.0f%%", cause, share*100),
+		})
+	}
+	return t, nil
 }
 
 // TraceCapture warms one device, attaches a tracer with a capEvents-bounded

@@ -201,3 +201,87 @@ func TestRunExperimentsOrderAndErrors(t *testing.T) {
 		t.Fatal("unknown id did not error")
 	}
 }
+
+// recordsBudget is the smallest budget that still drives latbreak's and
+// the fleet experiment's cells end to end, so the record test below stays
+// quick under the race detector.
+func recordsBudget(workers int) Budget {
+	return Budget{Requests: 400, WarmExtra: 0, Threads: 8, Workers: workers,
+		FleetDevices: 2, FleetPlacement: "striping,replicate"}
+}
+
+// TestRunExperimentsRecordsDeterministic: the per-cell records latbreak and
+// the fleet experiment return beside their rows must reach BenchResult
+// intact and in cell order at any worker count. CI runs it under -race, so
+// it also covers cell results crossing the root runner's goroutines.
+func TestRunExperimentsRecordsDeterministic(t *testing.T) {
+	cfg := TinyConfig()
+	ids := []string{"latbreak", "fleet"}
+	serial, err := RunExperiments(ids, cfg, recordsBudget(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := RunExperiments(ids, cfg, recordsBudget(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(serial[0].Obs); n != 2*len(Schemes()) {
+		t.Fatalf("latbreak records = %d, want %d", n, 2*len(Schemes()))
+	}
+	if n := len(serial[1].Fleet); n != 4 {
+		t.Fatalf("fleet records = %d, want 4 (2 policies x 2 scenarios)", n)
+	}
+	for i, id := range ids {
+		s, p := serial[i], parallel[i]
+		if !reflect.DeepEqual(s.Table, p.Table) {
+			t.Errorf("%s table diverged:\nserial:\n%s\nparallel:\n%s", id, s.Table, p.Table)
+		}
+		if !reflect.DeepEqual(s.Obs, p.Obs) {
+			t.Errorf("%s obs records diverged", id)
+		}
+		if !reflect.DeepEqual(s.Fleet, p.Fleet) {
+			t.Errorf("%s fleet records diverged", id)
+		}
+	}
+}
+
+// TestRunExperimentsValidatesKnobsFirst: a typo'd list or enum knob fails
+// the whole call before any experiment cell runs, not when the experiment
+// that reads the knob starts.
+func TestRunExperimentsValidatesKnobsFirst(t *testing.T) {
+	typos := []func(*Budget){
+		func(b *Budget) { b.FleetPlacement = "strping" },
+		func(b *Budget) { b.FaultSchemes = "dftl,ideel" },
+		func(b *Budget) { b.GCPolicies = "greedy," },
+		func(b *Budget) { b.Arrival = "possion" },
+		func(b *Budget) { b.ReadTenantShare = 1.5 },
+	}
+	for i, typo := range typos {
+		b := sweepTestBudget(1)
+		typo(&b)
+		cells := 0
+		b.Progress = func(int, int) { cells++ }
+		res, err := RunExperiments([]string{"table2", "fig6"}, TinyConfig(), b)
+		if err == nil || res != nil || cells != 0 {
+			t.Errorf("typo %d: %d results, err %v, %d cells ran; want an error and nothing run", i, len(res), err, cells)
+		}
+	}
+}
+
+// TestThreadsZeroDoesNotPanic: a budget with Threads < 1 runs the
+// closed-loop experiments on one thread instead of dividing by zero.
+func TestThreadsZeroDoesNotPanic(t *testing.T) {
+	cfg := TinyConfig()
+	tiny := float64(cfg.Geometry.TotalBytes()) / (1 << 30)
+	b := Budget{Requests: 200, Threads: 0, Workers: 1,
+		GCPolicies: "greedy", OPRatio: cfg.OPRatio, ScaleMinGiB: tiny, ScaleMaxGiB: tiny}
+	for _, id := range []string{"fig3", "fig6", "fig14", "fig16", "fig17", "gcsweep", "latbreak", "scale"} {
+		tab, err := Experiments()[id](cfg, b)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if len(tab.Rows) == 0 {
+			t.Fatalf("%s: no rows", id)
+		}
+	}
+}
