@@ -9,6 +9,7 @@ import (
 	"learnedftl/internal/mapping"
 	"learnedftl/internal/nand"
 	"learnedftl/internal/sim"
+	"learnedftl/internal/stats"
 	"learnedftl/internal/workload"
 )
 
@@ -143,9 +144,12 @@ func BenchmarkFig15Prediction(b *testing.B) {
 
 // Micro-benchmarks of the substrate primitives.
 
+// BenchmarkVPPNTranslate measures a PPN→VPPN→PPN round trip on the paper
+// geometry: one division each way plus a unit-table lookup.
 func BenchmarkVPPNTranslate(b *testing.B) {
 	codec := nand.NewAddrCodec(nand.PaperGeometry())
 	total := int64(codec.Geometry().TotalPages())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := nand.PPN(int64(i) % total)
@@ -216,13 +220,68 @@ func BenchmarkLSMTInsert(b *testing.B) {
 		gc[i] = lsmtBatch(rng, 32, &next)
 	}
 	lt := learned.NewLSMT()
+	var sc learned.ShadowScratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lt.Insert(flush[i%len(flush)])
 		if i%64 == 63 {
 			lt.Insert(gc[i/64%len(gc)])
-			lt.CompactShadowed()
+			lt.CompactShadowed(&sc)
+		}
+	}
+}
+
+// BenchmarkLSMTCompact measures LeaFTL's shadow compaction at GCFinalize's
+// shape, where it follows every GC retrain: each op inserts one flush
+// batch (as in BenchmarkLSMTInsert), then a 32-point GC retrain, then
+// compacts the page's table with the device's one scratch.
+func BenchmarkLSMTCompact(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	var next int64
+	flush := make([][]learned.Segment, 1024)
+	for i := range flush {
+		flush[i] = lsmtBatch(rng, 6, &next)
+	}
+	gc := make([][]learned.Segment, 1024)
+	for i := range gc {
+		gc[i] = lsmtBatch(rng, 32, &next)
+	}
+	lt := learned.NewLSMT()
+	var sc learned.ShadowScratch
+	for i := range flush { // reach the steady-state table first
+		lt.Insert(flush[i])
+		lt.Insert(gc[i])
+		lt.CompactShadowed(&sc)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lt.Insert(flush[i%len(flush)])
+		lt.Insert(gc[i%len(gc)])
+		lt.CompactShadowed(&sc)
+	}
+	b.ReportMetric(float64(lt.NumLevels()), "levels")
+	b.ReportMetric(float64(lt.NumSegments()), "segments")
+}
+
+// BenchmarkBuildReport measures the end-of-run summary at perfbench
+// randread's shape: about a million recorded read latencies, service time
+// plus a long queueing tail, from which BuildReport selects P99 and P99.9
+// over one transient copy.
+func BenchmarkBuildReport(b *testing.B) {
+	rng := rand.New(rand.NewSource(8))
+	col := stats.NewCollector()
+	for i := 0; i < 1<<20; i++ {
+		col.RecordRead(nand.Time(40_000+rng.ExpFloat64()*60_000), 1)
+	}
+	energy := nand.DefaultEnergy()
+	var flash nand.OpCounters
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r := stats.BuildReport("bench", col, flash, nand.Second, 4096, energy); r.P999 < r.P99 {
+			b.Fatal("P99.9 below P99")
 		}
 	}
 }

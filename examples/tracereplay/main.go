@@ -33,14 +33,15 @@ func main() {
 		gens := spec.Generators(lp, 4, 0.005)
 		sim.Run(dev, gens, 0)
 		col := dev.Collector()
+		tail := col.Percentiles(99, 99.9)
 		// GC count next to the tails: foreground collections are the
 		// mechanism behind the P99.9 column (each one parks the
 		// triggering write for the full relocation + erase).
 		fmt.Printf("%-11s mean %6.2f ms   P99 %6.2f ms   P99.9 %6.2f ms   GCs %4d (moved %d pages)\n",
 			dev.Name(),
 			float64(col.MeanReadLatency())/1e6,
-			float64(col.Percentile(99))/1e6,
-			float64(col.Percentile(99.9))/1e6,
+			float64(tail[0])/1e6,
+			float64(tail[1])/1e6,
 			col.GCCount, col.GCPagesMoved)
 	}
 }

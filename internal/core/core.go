@@ -123,9 +123,10 @@ type rowPlan struct {
 // live translation pages, at least one block per unit row and at least 2
 // rows; 2 further rows are reserved as GC relocation targets.
 func planRows(cfg ftl.Config) (rowPlan, error) {
+	codec := nand.NewAddrCodec(cfg.Geometry)
 	p := rowPlan{
 		span:    cfg.GroupEntries * cfg.EntriesPerTP,
-		sbPages: nand.NewAddrCodec(cfg.Geometry).SuperblockPages(),
+		sbPages: codec.SuperblockPages(),
 		reserve: 2,
 	}
 	if p.span > p.sbPages {

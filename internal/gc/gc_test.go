@@ -120,7 +120,8 @@ func (a *fakeAlloc) take(trans bool) (nand.PPN, bool) {
 		return nand.InvalidPPN, false
 	}
 	if a.active >= 0 && a.fl.BlockFreePages(a.active) > 0 {
-		base := a.fl.Codec().Encode(a.fl.Codec().BlockAddr(a.active))
+		codec := a.fl.Codec()
+		base := codec.Encode(codec.BlockAddr(a.active))
 		return base + nand.PPN(a.fl.BlockWritePtr(a.active)), true
 	}
 	if len(a.free) == 0 {
@@ -162,7 +163,8 @@ func (h *fakeHost) SortByLPN() bool { return h.sorted }
 // fillBlock programs every page of blk with ascending keys.
 func fillBlock(t *testing.T, fl *nand.Flash, blk int, keyBase int64) {
 	t.Helper()
-	base := fl.Codec().Encode(fl.Codec().BlockAddr(blk))
+	codec := fl.Codec()
+	base := codec.Encode(codec.BlockAddr(blk))
 	for i := 0; i < fl.Geometry().PagesPerBlock; i++ {
 		if _, err := fl.Program(base+nand.PPN(i), nand.OOB{Key: keyBase + int64(i)}, 0, nand.OpHostData); err != nil {
 			t.Fatal(err)
@@ -172,7 +174,8 @@ func fillBlock(t *testing.T, fl *nand.Flash, blk int, keyBase int64) {
 
 func invalidate(t *testing.T, fl *nand.Flash, blk, n int) {
 	t.Helper()
-	base := fl.Codec().Encode(fl.Codec().BlockAddr(blk))
+	codec := fl.Codec()
+	base := codec.Encode(codec.BlockAddr(blk))
 	for i := 0; i < n; i++ {
 		if err := fl.Invalidate(base + nand.PPN(i)); err != nil {
 			t.Fatal(err)
@@ -246,7 +249,8 @@ func TestVictimPolicyDivergence(t *testing.T) {
 	// does not.
 	fl3, a3 := build()
 	for i := 0; i < 80; i++ {
-		base := fl3.Codec().Encode(fl3.Codec().BlockAddr(5))
+		codec := fl3.Codec()
+		base := codec.Encode(codec.BlockAddr(5))
 		for p := 0; p < 8; p++ {
 			st := fl3.State(base + nand.PPN(p))
 			if st == nand.PageValid {

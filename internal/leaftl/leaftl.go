@@ -46,6 +46,9 @@ type LeaFTL struct {
 	lpnBuf   []int64
 	flushPts []learned.Point
 	gcPts    []learned.Point
+
+	// shadow is the scratch of every LSMT's shadow compaction.
+	shadow learned.ShadowScratch
 }
 
 // New builds a LeaFTL device.
@@ -170,7 +173,7 @@ func (l *LeaFTL) train(pts []learned.Point, compact bool, t nand.Time) nand.Time
 		lt.Insert(segs)
 		l.Col.ModelTrainings++
 		if compact {
-			lt.CompactShadowed()
+			lt.CompactShadowed(&l.shadow)
 			l.cache.Resize(tpn, lt.SizeBytes())
 		} else {
 			l.cache.Insert(tpn, lt.SizeBytes()) // fresh models are hot

@@ -3,6 +3,7 @@ package learned
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -165,67 +166,94 @@ func (m *InPlaceModel) SequentialInit(startOff, n int, firstVPPN int64) bool {
 // insertPiece splices a new piece covering [s, e) into the sorted piece
 // array, trimming overlapped pieces (the Fig. 10 "modify off2 of model2"
 // adjustment) and preserving the tail of a piece that extends past e.
-// Returns false if the result would exceed the fixed capacity.
+// Returns false, leaving the model as it was, if the result would exceed
+// the fixed capacity. The splice works inside the piece array's own
+// backing store, which holds maxPieces+2 once it has had to grow.
 func (m *InPlaceModel) insertPiece(np Piece, s, e int64) bool {
-	out := make([]Piece, 0, len(m.pieces)+2)
-	inserted := false
-	for i, p := range m.pieces {
-		pEnd := int64(m.span)
-		if i+1 < len(m.pieces) {
-			pEnd = m.pieces[i+1].Off
-		}
-		if pEnd <= s || p.Off >= e {
-			// Untouched piece; emit new piece before any later piece.
-			if !inserted && p.Off >= e {
-				out = append(out, np)
-				inserted = true
+	ps := m.pieces
+	// The run [i, j) of pieces whose ownership range meets [s, e) gives
+	// way to: the head of its first piece that starts before s, np, and
+	// the tail of its last piece past e under the same K/B with a bumped
+	// Off — exactly the paper's off adjustment. With no overlap np lands
+	// before the first piece past it.
+	i := sort.Search(len(ps), func(k int) bool { return m.pieceEnd(ps, k) > s })
+	j := i
+	for j < len(ps) && ps[j].Off < e {
+		j++
+	}
+	var repl [3]Piece
+	r := 0
+	if i < j && ps[i].Off < s {
+		repl[r] = ps[i]
+		r++
+	}
+	repl[r] = np
+	r++
+	if i < j && m.pieceEnd(ps, j-1) > e {
+		repl[r] = Piece{Off: e, K: ps[j-1].K, B: ps[j-1].B}
+		r++
+	}
+	n := len(ps) - (j - i) + r
+	if n > m.maxPieces {
+		// Only pruning can bring the splice within capacity: count what
+		// pruneDead would keep before touching the array.
+		at := func(k int) Piece {
+			switch {
+			case k < i:
+				return ps[k]
+			case k < i+r:
+				return repl[k-i]
+			default:
+				return ps[k-i-r+j]
 			}
-			out = append(out, p)
-			continue
 		}
-		// Overlap: keep the head [p.Off, s) under the old parameters.
-		if p.Off < s {
-			out = append(out, p)
+		kept := 0
+		for k := 0; k < n; k++ {
+			end := int64(m.span)
+			if k+1 < n {
+				end = at(k + 1).Off
+			}
+			if m.live(at(k).Off, end, s, e) {
+				kept++
+			}
 		}
-		if !inserted {
-			out = append(out, np)
-			inserted = true
-		}
-		// Keep the tail [e, pEnd) under the old parameters: same K/B with a
-		// bumped Off, exactly the paper's off adjustment.
-		if pEnd > e {
-			out = append(out, Piece{Off: e, K: p.K, B: p.B})
+		if kept > m.maxPieces {
+			return false
 		}
 	}
-	if !inserted {
-		out = append(out, np)
+	if cap(ps) < n {
+		ps = slices.Grow(ps, max(n, m.maxPieces+2)-len(ps))
 	}
-	out = m.pruneDead(out, s, e)
-	if len(out) > m.maxPieces {
-		return false
-	}
-	m.pieces = out
+	m.pieces = m.pruneDead(slices.Replace(ps, i, j, repl[:r]...), s, e)
 	return true
+}
+
+// pieceEnd returns the end of piece k's ownership range in ps: the next
+// piece's Off, or the span for the last piece.
+func (m *InPlaceModel) pieceEnd(ps []Piece, k int) int64 {
+	if k+1 < len(ps) {
+		return ps[k+1].Off
+	}
+	return int64(m.span)
+}
+
+// live reports whether a piece owning [off, end) can still produce a
+// prediction once [s, e) is set: it overlaps that range, or owns an
+// accurate bit.
+func (m *InPlaceModel) live(off, end, s, e int64) bool {
+	return off <= s && s < end || off < e && e <= end || (s <= off && end <= e) ||
+		m.bm.CountRange(int(off), int(end)) > 0
 }
 
 // pruneDead drops pieces whose ownership range contains no accurate bits and
 // will not contain any after the pending SetRange(s, e): they can never
 // produce a prediction, so removing them only re-assigns dead offsets to an
 // earlier (equally silent) piece. This keeps the fixed-capacity array from
-// filling up with trimmed-off remainders.
+// filling up with trimmed-off remainders. It filters in place.
 func (m *InPlaceModel) pruneDead(pieces []Piece, s, e int64) []Piece {
 	out := pieces[:0]
 	for i, p := range pieces {
-		pEnd := int64(m.span)
-		if i+1 < len(pieces) {
-			pEnd = pieces[i+1].Off
-		}
-		if p.Off <= s && s < pEnd || p.Off < e && e <= pEnd || (s <= p.Off && pEnd <= e) {
-			// Overlaps the about-to-be-set range: live.
-			out = append(out, p)
-			continue
-		}
-		if m.bm.CountRange(int(p.Off), int(pEnd)) > 0 {
+		if m.live(p.Off, m.pieceEnd(pieces, i), s, e) {
 			out = append(out, p)
 		}
 	}

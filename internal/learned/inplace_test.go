@@ -2,6 +2,7 @@ package learned
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -272,6 +273,152 @@ func TestInPlaceModelNeverWrongProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// refInsertPiece is the allocating insertPiece the in-place splice
+// replaced, kept verbatim (with its pruneDead) as the reference for
+// TestInsertPieceMatchesReferenceProperty: it builds the spliced array in
+// a fresh slice and only then checks it against the capacity.
+func refInsertPiece(m *InPlaceModel, np Piece, s, e int64) bool {
+	out := make([]Piece, 0, len(m.pieces)+2)
+	inserted := false
+	for i, p := range m.pieces {
+		pEnd := int64(m.span)
+		if i+1 < len(m.pieces) {
+			pEnd = m.pieces[i+1].Off
+		}
+		if pEnd <= s || p.Off >= e {
+			// Untouched piece; emit new piece before any later piece.
+			if !inserted && p.Off >= e {
+				out = append(out, np)
+				inserted = true
+			}
+			out = append(out, p)
+			continue
+		}
+		// Overlap: keep the head [p.Off, s) under the old parameters.
+		if p.Off < s {
+			out = append(out, p)
+		}
+		if !inserted {
+			out = append(out, np)
+			inserted = true
+		}
+		// Keep the tail [e, pEnd) under the old parameters: same K/B with a
+		// bumped Off, exactly the paper's off adjustment.
+		if pEnd > e {
+			out = append(out, Piece{Off: e, K: p.K, B: p.B})
+		}
+	}
+	if !inserted {
+		out = append(out, np)
+	}
+	out = refPruneDead(m, out, s, e)
+	if len(out) > m.maxPieces {
+		return false
+	}
+	m.pieces = out
+	return true
+}
+
+func refPruneDead(m *InPlaceModel, pieces []Piece, s, e int64) []Piece {
+	out := pieces[:0]
+	for i, p := range pieces {
+		pEnd := int64(m.span)
+		if i+1 < len(pieces) {
+			pEnd = pieces[i+1].Off
+		}
+		if p.Off <= s && s < pEnd || p.Off < e && e <= pEnd || (s <= p.Off && pEnd <= e) {
+			// Overlaps the about-to-be-set range: live.
+			out = append(out, p)
+			continue
+		}
+		if m.bm.CountRange(int(p.Off), int(pEnd)) > 0 {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// Property: over random sequences of writes (Invalidate), sequential
+// writes (Invalidate + the SequentialInit splice) and GC retrains, the
+// in-place insertPiece and the allocating reference accept the same
+// splices and leave identical model states, and a rejected splice leaves
+// the model untouched.
+func TestInsertPieceMatchesReferenceProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		span := 64 + rng.Intn(449)
+		m := NewInPlaceModel(span, 1+rng.Intn(8))
+		ref := NewInPlaceModel(span, m.maxPieces)
+		next := int64(1000)
+		for step := 0; step < 300; step++ {
+			switch op := rng.Intn(10); {
+			case op < 6: // a sequential write: invalidate, then splice
+				off := rng.Intn(span)
+				n := 1 + rng.Intn(min(span-off, 1+rng.Intn(32)))
+				for i := off; i < off+n; i++ {
+					m.Invalidate(i)
+					ref.Invalidate(i)
+				}
+				if m.bm.CountRange(off, off+n) >= n {
+					continue
+				}
+				if m.base == unsetBase {
+					m.base, ref.base = next, next
+				}
+				s, e := int64(off), int64(off+n)
+				np := Piece{Off: s, K: 1, B: float64(next-m.base) - float64(s)}
+				before := m.ExportState()
+				got, want := m.insertPiece(np, s, e), refInsertPiece(ref, np, s, e)
+				if got != want {
+					t.Logf("seed %d step %d: insertPiece %v, reference %v", seed, step, got, want)
+					return false
+				}
+				if !got && !reflect.DeepEqual(m.ExportState(), before) {
+					t.Logf("seed %d step %d: rejected splice changed the model", seed, step)
+					return false
+				}
+				if got {
+					m.bm.SetRange(off, off+n)
+					ref.bm.SetRange(off, off+n)
+				}
+				next += int64(n + rng.Intn(50))
+			case op < 9: // scattered overwrites
+				for k := rng.Intn(8); k >= 0; k-- {
+					off := rng.Intn(span)
+					m.Invalidate(off)
+					ref.Invalidate(off)
+				}
+			default: // GC retrain over a random live set
+				v := make([]int64, span)
+				for i := range v {
+					v[i] = -1
+					if rng.Intn(3) > 0 {
+						v[i] = next + int64(i)
+						if rng.Intn(8) == 0 {
+							next++
+						}
+					}
+				}
+				m.TrainFull(next, v)
+				ref.TrainFull(next, v)
+				next += int64(span) + 8
+			}
+			if !reflect.DeepEqual(m.ExportState(), ref.ExportState()) {
+				t.Logf("seed %d step %d: state\n%+v\nreference\n%+v", seed, step, m.ExportState(), ref.ExportState())
+				return false
+			}
+			if len(m.pieces) > m.maxPieces {
+				t.Logf("seed %d step %d: %d pieces over capacity %d", seed, step, len(m.pieces), m.maxPieces)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -109,26 +109,58 @@ func (t *LSMT) ImportLevels(levels [][]Segment) {
 	}
 }
 
+// span is a half-open LPN interval [lo, hi).
+type span struct{ lo, hi int64 }
+
+// ShadowScratch is CompactShadowed's working memory: the running union of
+// the levels above the one being filtered and the union being built from
+// it. The zero value is ready to use. One per caller is enough (LeaFTL
+// keeps one per device); reused, it makes compaction allocation-free once
+// it has grown to the largest table's size.
+type ShadowScratch struct{ union, next []span }
+
 // CompactShadowed drops lower-level segments whose whole key range is
 // covered by segments in upper levels (they can never win a lookup). This is
 // the space-reclamation role of LeaFTL's compaction; returns the number of
 // segments dropped.
-func (t *LSMT) CompactShadowed() int {
+//
+// One merge walk per level checks its segments against the union of the
+// levels above it (kept as maximal disjoint spans) while folding the level
+// into that union for the next. Filtering a level leaves the union as it
+// was, since every dropped segment was already covered from above.
+func (t *LSMT) CompactShadowed(sc *ShadowScratch) int {
+	union, next := sc.union[:0], sc.next[:0]
 	dropped := 0
-	for li := 1; li < len(t.levels); li++ {
-		// Filtering in place is safe: shadowed reads only levels above li.
-		lv := t.levels[li]
+	for li, lv := range t.levels {
+		next = next[:0]
 		keep := lv[:0]
+		k := 0
 		for _, s := range lv {
-			if t.shadowed(s, li) {
+			lo, hi := s.S, s.S+int64(s.L)
+			for ; k < len(union) && union[k].lo <= lo; k++ {
+				next = addSpan(next, union[k])
+			}
+			// Every span above that starts at or before lo is in next
+			// now, and being maximal, only next's last span can contain
+			// the segment. This level's earlier segments, also in next,
+			// end at or before lo, so they cover none of it.
+			if li > 0 && (hi <= lo || len(next) > 0 && next[len(next)-1].lo <= lo && hi <= next[len(next)-1].hi) {
 				dropped++
 				t.nseg--
-			} else {
-				keep = append(keep, s)
+				continue
 			}
+			keep = append(keep, s)
+			next = addSpan(next, span{lo, hi})
 		}
-		t.levels[li] = clip(keep)
+		for _, u := range union[k:] {
+			next = addSpan(next, u)
+		}
+		if li > 0 {
+			t.levels[li] = clip(keep)
+		}
+		union, next = next, union
 	}
+	sc.union, sc.next = union, next
 	// Trim empty tail levels.
 	for len(t.levels) > 0 && len(t.levels[len(t.levels)-1]) == 0 {
 		t.levels = t.levels[:len(t.levels)-1]
@@ -136,32 +168,15 @@ func (t *LSMT) CompactShadowed() int {
 	return dropped
 }
 
-// shadowed reports whether every LPN of s is covered by levels above `below`.
-// Instead of probing each LPN of the segment, it walks the covered interval
-// greedily: at each uncovered position it binary-searches every upper level
-// (sorted by Segment.S) for the segment containing that position and jumps
-// to the farthest covered end, so the check costs O(k · levels · log n) for
-// k covering segments rather than O(L · levels · log n) for L spanned LPNs.
-func (t *LSMT) shadowed(s Segment, below int) bool {
-	pos := s.S
-	hi := s.S + int64(s.L)
-	for pos < hi {
-		next := pos
-		for li := 0; li < below; li++ {
-			lv := t.levels[li]
-			// Last segment with S <= pos is the only one that can cover pos
-			// (segments within a level are sorted and non-overlapping).
-			i := sort.Search(len(lv), func(k int) bool { return lv[k].S > pos }) - 1
-			if i >= 0 {
-				if end := lv[i].S + int64(lv[i].L); end > next {
-					next = end
-				}
-			}
-		}
-		if next == pos {
-			return false // pos is covered by no upper level
-		}
-		pos = next
+// addSpan appends u to spans sorted by lo, merging it into the last span
+// when they overlap or touch, so the spans stay maximal and disjoint.
+func addSpan(spans []span, u span) []span {
+	if u.hi <= u.lo {
+		return spans
 	}
-	return true
+	if n := len(spans); n > 0 && u.lo <= spans[n-1].hi {
+		spans[n-1].hi = max(spans[n-1].hi, u.hi)
+		return spans
+	}
+	return append(spans, u)
 }

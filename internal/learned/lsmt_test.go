@@ -67,7 +67,7 @@ func TestLSMTCompactShadowed(t *testing.T) {
 	if lt.NumSegments() != 2 {
 		t.Fatal("setup wrong")
 	}
-	dropped := lt.CompactShadowed()
+	dropped := lt.CompactShadowed(new(ShadowScratch))
 	if dropped != 1 || lt.NumSegments() != 1 || lt.NumLevels() != 1 {
 		t.Fatalf("dropped=%d segs=%d levels=%d", dropped, lt.NumSegments(), lt.NumLevels())
 	}
@@ -80,7 +80,7 @@ func TestLSMTCompactKeepsPartiallyVisible(t *testing.T) {
 	lt := NewLSMT()
 	lt.Insert([]Segment{{S: 0, L: 20, K: 1, I: 1}})
 	lt.Insert([]Segment{{S: 0, L: 10, K: 1, I: 2}}) // shadows only half
-	if dropped := lt.CompactShadowed(); dropped != 0 {
+	if dropped := lt.CompactShadowed(new(ShadowScratch)); dropped != 0 {
 		t.Fatalf("dropped %d, want 0", dropped)
 	}
 	if s, _ := lt.Lookup(15); s.I != 1 {
@@ -135,11 +135,13 @@ func TestLSMTRecencyProperty(t *testing.T) {
 	}
 }
 
-// refLSMT is the allocating LSMT write path the in-place splice replaced,
-// kept verbatim as the reference for TestLSMTMatchesReferenceProperty:
-// insertAt copies the evicted run and rebuilds the level on every insert,
-// CompactShadowed rebuilds every level from scratch. Lookups, snapshots and
-// shadowed are the production LSMT's.
+// refLSMT is the reference for TestLSMTMatchesReferenceProperty, kept
+// verbatim from earlier production LSMTs: insertAt is the allocating write
+// path the in-place splice replaced, copying the evicted run and
+// rebuilding the level on every insert; CompactShadowed and shadowed are
+// the per-segment shadow probe the one-pass merge replaced, binary-searching
+// every upper level at every covered step. Lookups and snapshots are the
+// production LSMT's.
 type refLSMT struct{ LSMT }
 
 func (t *refLSMT) Insert(segs []Segment) {
@@ -179,8 +181,10 @@ func (t *refLSMT) insertAt(level int, seg Segment) {
 func (t *refLSMT) CompactShadowed() int {
 	dropped := 0
 	for li := 1; li < len(t.levels); li++ {
-		var keep []Segment
-		for _, s := range t.levels[li] {
+		// Filtering in place is safe: shadowed reads only levels above li.
+		lv := t.levels[li]
+		keep := lv[:0]
+		for _, s := range lv {
 			if t.shadowed(s, li) {
 				dropped++
 				t.nseg--
@@ -188,13 +192,43 @@ func (t *refLSMT) CompactShadowed() int {
 				keep = append(keep, s)
 			}
 		}
-		t.levels[li] = keep
+		t.levels[li] = clip(keep)
 	}
 	// Trim empty tail levels.
 	for len(t.levels) > 0 && len(t.levels[len(t.levels)-1]) == 0 {
 		t.levels = t.levels[:len(t.levels)-1]
 	}
 	return dropped
+}
+
+// shadowed reports whether every LPN of s is covered by levels above `below`.
+// Instead of probing each LPN of the segment, it walks the covered interval
+// greedily: at each uncovered position it binary-searches every upper level
+// (sorted by Segment.S) for the segment containing that position and jumps
+// to the farthest covered end, so the check costs O(k · levels · log n) for
+// k covering segments rather than O(L · levels · log n) for L spanned LPNs.
+func (t *refLSMT) shadowed(s Segment, below int) bool {
+	pos := s.S
+	hi := s.S + int64(s.L)
+	for pos < hi {
+		next := pos
+		for li := 0; li < below; li++ {
+			lv := t.levels[li]
+			// Last segment with S <= pos is the only one that can cover pos
+			// (segments within a level are sorted and non-overlapping).
+			i := sort.Search(len(lv), func(k int) bool { return lv[k].S > pos }) - 1
+			if i >= 0 {
+				if end := lv[i].S + int64(lv[i].L); end > next {
+					next = end
+				}
+			}
+		}
+		if next == pos {
+			return false // pos is covered by no upper level
+		}
+		pos = next
+	}
+	return true
 }
 
 // randSegments returns 1–8 sorted, non-overlapping segments with keys in
@@ -212,14 +246,20 @@ func randSegments(rng *rand.Rand, id *float64) []Segment {
 	return out
 }
 
-// Property: the in-place LSMT and the allocating reference hold the same
-// levels and segment count after every Insert and CompactShadowed, and no
-// level keeps more spare capacity than the clip rule allows.
+// Property: the production LSMT and the reference hold the same levels and
+// segment count after every Insert and CompactShadowed, and no level keeps
+// more spare capacity than the clip rule allows. Every third seed compacts
+// after most inserts, as GC retrains do; all share one compaction scratch.
 func TestLSMTMatchesReferenceProperty(t *testing.T) {
+	var sc ShadowScratch
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var id float64
 		lt, ref := NewLSMT(), &refLSMT{}
+		compactEvery := 16
+		if seed%3 == 0 {
+			compactEvery = 2
+		}
 		if seed%4 == 0 {
 			// Start from imported levels, as a restored snapshot does.
 			var levels [][]Segment
@@ -230,8 +270,8 @@ func TestLSMTMatchesReferenceProperty(t *testing.T) {
 			ref.ImportLevels(levels)
 		}
 		for op := 0; op < 200; op++ {
-			if rng.Intn(16) == 0 {
-				if a, b := lt.CompactShadowed(), ref.CompactShadowed(); a != b {
+			if rng.Intn(compactEvery) == 0 {
+				if a, b := lt.CompactShadowed(&sc), ref.CompactShadowed(); a != b {
 					t.Logf("seed %d op %d: CompactShadowed dropped %d, reference %d", seed, op, a, b)
 					return false
 				}

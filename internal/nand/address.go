@@ -40,19 +40,58 @@ type Addr struct {
 }
 
 // AddrCodec converts between Addr, PPN and VPPN for a fixed geometry.
-// It is a value type; copy freely.
+// It is a value type; copy freely (copies share the read-only unit
+// tables). Its methods take a pointer so the hot paths that convert
+// through a device's codec field never copy the struct.
+//
+// Both page numbers split into a plane unit — one (channel, way, plane)
+// triple — and the page's offset blk·Pages + pg inside its plane:
+//
+//	PPN  = unit·(Blocks·Pages) + off,  unit  = (chn·Ways + way)·Planes + pl
+//	VPPN = off·Units + unit′,          unit′ = (pl·Ways + way)·Channels + chn
+//
+// so a conversion is one division plus a lookup in a unit permutation
+// table, rather than a full Decode and re-encode.
 type AddrCodec struct {
-	g Geometry
+	g         Geometry
+	unitPages int64   // Blocks·Pages: PPNs per plane unit
+	units     int64   // plane units on the device
+	toV, toP  []int32 // unit → unit′ and its inverse
 }
 
 // NewAddrCodec returns a codec for geometry g.
-func NewAddrCodec(g Geometry) AddrCodec { return AddrCodec{g: g} }
+func NewAddrCodec(g Geometry) AddrCodec {
+	c := AddrCodec{
+		g:         g,
+		unitPages: int64(g.BlocksPerUnit) * int64(g.PagesPerBlock),
+		units:     int64(g.Units()),
+	}
+	if c.units <= 0 {
+		// A geometry Validate rejects. core.SpareRows sizes configs
+		// through a codec before anything validates them, so build one
+		// without tables rather than panic; converting through it is
+		// invalid.
+		return c
+	}
+	c.toV = make([]int32, c.units)
+	c.toP = make([]int32, c.units)
+	for chn := 0; chn < g.Channels; chn++ {
+		for way := 0; way < g.Ways; way++ {
+			for pl := 0; pl < g.Planes; pl++ {
+				u := (chn*g.Ways+way)*g.Planes + pl
+				v := (pl*g.Ways+way)*g.Channels + chn
+				c.toV[u], c.toP[v] = int32(v), int32(u)
+			}
+		}
+	}
+	return c
+}
 
 // Geometry returns the geometry the codec was built for.
-func (c AddrCodec) Geometry() Geometry { return c.g }
+func (c *AddrCodec) Geometry() Geometry { return c.g }
 
 // Encode packs an address into a PPN.
-func (c AddrCodec) Encode(a Addr) PPN {
+func (c *AddrCodec) Encode(a Addr) PPN {
 	g := c.g
 	v := ((int64(a.Channel)*int64(g.Ways)+int64(a.Way))*int64(g.Planes)+
 		int64(a.Plane))*int64(g.BlocksPerUnit) + int64(a.Block)
@@ -60,7 +99,7 @@ func (c AddrCodec) Encode(a Addr) PPN {
 }
 
 // Decode unpacks a PPN into its address fields.
-func (c AddrCodec) Decode(p PPN) Addr {
+func (c *AddrCodec) Decode(p PPN) Addr {
 	g := c.g
 	v := int64(p)
 	var a Addr
@@ -78,7 +117,7 @@ func (c AddrCodec) Decode(p PPN) Addr {
 
 // EncodeVirtual packs an address into a VPPN following the allocation order
 // channel → way → plane → page → block.
-func (c AddrCodec) EncodeVirtual(a Addr) VPPN {
+func (c *AddrCodec) EncodeVirtual(a Addr) VPPN {
 	g := c.g
 	v := ((int64(a.Block)*int64(g.PagesPerBlock)+int64(a.Page))*int64(g.Planes)+
 		int64(a.Plane))*int64(g.Ways) + int64(a.Way)
@@ -86,7 +125,7 @@ func (c AddrCodec) EncodeVirtual(a Addr) VPPN {
 }
 
 // DecodeVirtual unpacks a VPPN into its address fields.
-func (c AddrCodec) DecodeVirtual(v VPPN) Addr {
+func (c *AddrCodec) DecodeVirtual(v VPPN) Addr {
 	g := c.g
 	x := int64(v)
 	var a Addr
@@ -102,58 +141,64 @@ func (c AddrCodec) DecodeVirtual(v VPPN) Addr {
 	return a
 }
 
-// ToVirtual converts a PPN to the equivalent VPPN.
-func (c AddrCodec) ToVirtual(p PPN) VPPN {
+// ToVirtual converts a PPN to the equivalent VPPN: EncodeVirtual(Decode(p))
+// in one division.
+func (c *AddrCodec) ToVirtual(p PPN) VPPN {
 	if p == InvalidPPN {
 		return InvalidVPPN
 	}
-	return c.EncodeVirtual(c.Decode(p))
+	unit := int64(p) / c.unitPages
+	off := int64(p) - unit*c.unitPages
+	return VPPN(off*c.units + int64(c.toV[unit]))
 }
 
-// ToPhysical converts a VPPN back to the PPN of the same physical page.
-func (c AddrCodec) ToPhysical(v VPPN) PPN {
+// ToPhysical converts a VPPN back to the PPN of the same physical page:
+// Encode(DecodeVirtual(v)) in one division.
+func (c *AddrCodec) ToPhysical(v VPPN) PPN {
 	if v == InvalidVPPN {
 		return InvalidPPN
 	}
-	return c.Encode(c.DecodeVirtual(v))
+	off := int64(v) / c.units
+	unit := int64(v) - off*c.units
+	return PPN(int64(c.toP[unit])*c.unitPages + off)
 }
 
 // Chip returns the parallel-unit index (channel*Ways + way) of a PPN.
 // Operations on the same chip serialize; different chips proceed in parallel.
 // Channel and way are the top fields of a PPN, so the chip is one quotient.
-func (c AddrCodec) Chip(p PPN) int {
+func (c *AddrCodec) Chip(p PPN) int {
 	g := c.g
 	return int(int64(p) / (int64(g.PagesPerBlock) * int64(g.BlocksPerUnit) * int64(g.Planes)))
 }
 
 // ChipOfBlock returns the chip holding the device-wide block blockID.
-func (c AddrCodec) ChipOfBlock(blockID int) int {
+func (c *AddrCodec) ChipOfBlock(blockID int) int {
 	return blockID / (c.g.BlocksPerUnit * c.g.Planes)
 }
 
 // BlockBase returns the PPN of page 0 of the device-wide block blockID.
-func (c AddrCodec) BlockBase(blockID int) PPN {
+func (c *AddrCodec) BlockBase(blockID int) PPN {
 	return PPN(int64(blockID) * int64(c.g.PagesPerBlock))
 }
 
 // BlockID returns the device-wide block index of the block containing p.
-func (c AddrCodec) BlockID(p PPN) int {
+func (c *AddrCodec) BlockID(p PPN) int {
 	return int(int64(p) / int64(c.g.PagesPerBlock))
 }
 
 // BlockAddr returns the address of page 0 of the device-wide block blockID.
-func (c AddrCodec) BlockAddr(blockID int) Addr {
+func (c *AddrCodec) BlockAddr(blockID int) Addr {
 	return c.Decode(c.BlockBase(blockID))
 }
 
 // SuperblockVPPNBase returns the first VPPN of the superblock stripe that
 // uses block index blk in every plane of every chip. A superblock's VPPNs
 // are contiguous: [base, base + Chips()*Planes*PagesPerBlock).
-func (c AddrCodec) SuperblockVPPNBase(blk int) VPPN {
+func (c *AddrCodec) SuperblockVPPNBase(blk int) VPPN {
 	return c.EncodeVirtual(Addr{Block: blk})
 }
 
 // SuperblockPages returns the number of pages in one superblock stripe.
-func (c AddrCodec) SuperblockPages() int {
+func (c *AddrCodec) SuperblockPages() int {
 	return c.g.Chips() * c.g.Planes * c.g.PagesPerBlock
 }

@@ -124,6 +124,34 @@ func TestVPPNBijectionQuickPaperScale(t *testing.T) {
 	}
 }
 
+// TestVPPNCodecMatchesFieldCodec pins the one-division conversions to the
+// field-by-field definitions, ToVirtual = EncodeVirtual∘Decode and
+// ToPhysical = Encode∘DecodeVirtual, for every page of the tiny and quick
+// geometries and of one with Planes > 1 and no power-of-two field — the
+// only one that exercises a non-identity plane order in the unit
+// permutation.
+func TestVPPNCodecMatchesFieldCodec(t *testing.T) {
+	geoms := map[string]Geometry{
+		"quick":  {Channels: 4, Ways: 4, Planes: 1, BlocksPerUnit: 32, PagesPerBlock: 512, PageSize: 4096},
+		"tiny":   {Channels: 8, Ways: 8, Planes: 1, BlocksPerUnit: 16, PagesPerBlock: 64, PageSize: 4096},
+		"planes": {Channels: 3, Ways: 5, Planes: 2, BlocksPerUnit: 7, PagesPerBlock: 11, PageSize: 4096},
+	}
+	for name, g := range geoms {
+		c := NewAddrCodec(g)
+		for i := 0; i < g.TotalPages(); i++ {
+			if got, want := c.ToVirtual(PPN(i)), c.EncodeVirtual(c.Decode(PPN(i))); got != want {
+				t.Fatalf("%s: ToVirtual(%d) = %d, want %d", name, i, got, want)
+			}
+			if got, want := c.ToPhysical(VPPN(i)), c.Encode(c.DecodeVirtual(VPPN(i))); got != want {
+				t.Fatalf("%s: ToPhysical(%d) = %d, want %d", name, i, got, want)
+			}
+		}
+		if c.ToVirtual(InvalidPPN) != InvalidVPPN || c.ToPhysical(InvalidVPPN) != InvalidPPN {
+			t.Fatalf("%s: invalid sentinels not preserved", name)
+		}
+	}
+}
+
 // TestVPPNStripeContiguity checks the property the paper's learned index
 // depends on: pages written round-robin across channels then ways at the
 // same (block, page) position receive consecutive VPPNs.

@@ -109,7 +109,8 @@ func TestChipSerialization(t *testing.T) {
 	}
 
 	// Different chip: channel 1 way 0.
-	other := f.Codec().Encode(Addr{Channel: 1})
+	codec := f.Codec()
+	other := codec.Encode(Addr{Channel: 1})
 	d3 := f.Read(other, 0, OpHostData)
 	if d3 != rd {
 		t.Fatalf("cross-chip read done at %d, want %d (no serialization)", d3, rd)

@@ -22,19 +22,16 @@ func unboundedStreams(gens []Generator) []Stream {
 	return streams
 }
 
-// serviceFingerprint mirrors sched_test's latencies() but over the
-// device-service component, which for a closed-loop run equals the
-// recorded latency and for an open-loop run is latency minus queue wait.
-func serviceFingerprint(f ftl.FTL) (reads, writes []nand.Time) {
-	col := f.Collector()
-	grid := []float64{0.5, 1, 5, 10, 25, 50, 75, 90, 95, 99, 99.9, 100}
-	for _, p := range grid {
-		reads = append(reads, col.ReadServicePercentile(p))
-		writes = append(writes, col.WriteServicePercentile(p))
+// serviceFingerprint is latencies() for a run that records no queue wait
+// — a closed-loop run, or unbounded open-loop streams — whose recorded
+// latencies therefore are the device-service times. It fails the test if
+// any wait was recorded.
+func serviceFingerprint(t *testing.T, f ftl.FTL) (reads, writes []nand.Time) {
+	t.Helper()
+	if col := f.Collector(); col.MeanQueueWait() != 0 || col.QueueWaitShare() != 0 {
+		t.Fatalf("recorded queue wait %d (share %v), want none", col.MeanQueueWait(), col.QueueWaitShare())
 	}
-	reads = append(reads, nand.Time(col.HostReads))
-	writes = append(writes, nand.Time(col.HostWrites))
-	return reads, writes
+	return latencies(f)
 }
 
 // TestOpenUnboundedMatchesClosedLoop is the refactor-seam pin: open-loop
@@ -51,14 +48,14 @@ func TestOpenUnboundedMatchesClosedLoop(t *testing.T) {
 			t.Fatal(err)
 		}
 		rc := Run(fc, mixedGens(threads, 40, lp, 42), 0)
-		readsC, writesC := serviceFingerprint(fc)
+		readsC, writesC := serviceFingerprint(t, fc)
 
 		fo, err := ftl.NewIdeal(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ro := RunOpen(fo, unboundedStreams(mixedGens(threads, 40, lp, 42)), 0)
-		readsO, writesO := serviceFingerprint(fo)
+		readsO, writesO := serviceFingerprint(t, fo)
 
 		if rc != ro {
 			t.Fatalf("threads=%d: closed %+v != open %+v", threads, rc, ro)
@@ -120,7 +117,7 @@ func TestOpenPoissonDeterministic(t *testing.T) {
 		Run(f, []Generator{seqGen(0, 64, true)}, 0) // map some pages
 		f.Collector().Reset()
 		res := RunOpen(f, poissonStreams(4, 64, 32, 20000), 0)
-		reads, _ := serviceFingerprint(f)
+		reads, _ := latencies(f)
 		reads = append(reads, f.Collector().Percentile(99.9), f.Collector().MeanQueueWait())
 		return res, reads
 	}
@@ -257,8 +254,10 @@ func TestIssueClampsBackwardsCompletion(t *testing.T) {
 		{Name: "r", Gen: seqGen(0, 4, false), Kind: ArrivalFixed, Rate: 1e9},
 		{Name: "w", Gen: seqGen(0, 4, true), Kind: ArrivalFixed, Rate: 1e9},
 	}, 0)
-	if got := f2.col.ReadServicePercentile(100); got != 0 {
-		t.Fatalf("open-loop recorded service latency %d, want clamped 0", got)
+	// Every request's service time is clamped to 0, so each total latency
+	// is its queue wait alone and the two populations sum alike.
+	if lat, wait := f2.col.MeanLatency(), f2.col.MeanQueueWait(); lat != wait {
+		t.Fatalf("open-loop mean latency %d != mean wait %d, want clamped 0 service", lat, wait)
 	}
 	if f2.col.ReadPercentile(100) < 0 || f2.col.WritePercentile(100) < 0 {
 		t.Fatal("open-loop recorded a negative total latency")
@@ -614,10 +613,10 @@ func TestOpenLoopMatchesReferenceProperty(t *testing.T) {
 		if !reflect.DeepEqual(acks, refAcks) {
 			t.Fatalf("iter %d: ack sequences differ (%d vs %d acks)", iter, len(acks), len(refAcks))
 		}
-		rReads, rWrites := serviceFingerprint(fr)
-		nReads, nWrites := serviceFingerprint(fn)
+		rReads, rWrites := latencies(fr)
+		nReads, nWrites := latencies(fn)
 		if !reflect.DeepEqual(rReads, nReads) || !reflect.DeepEqual(rWrites, nWrites) {
-			t.Fatalf("iter %d: service fingerprints differ", iter)
+			t.Fatalf("iter %d: latency fingerprints differ", iter)
 		}
 		rc, nc := fr.Collector(), fn.Collector()
 		if rc.QueueWaitShare() != nc.QueueWaitShare() || rc.MeanQueueWait() != nc.MeanQueueWait() {

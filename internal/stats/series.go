@@ -26,9 +26,6 @@ func (s *series) append(v int64) {
 	s.n++
 }
 
-// at returns slot i.
-func (s *series) at(i int) int64 { return s.chunks[i>>seriesChunkShift][i&seriesChunkMask] }
-
 // len returns the number of recorded values.
 func (s *series) len() int { return s.n }
 

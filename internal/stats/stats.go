@@ -7,7 +7,7 @@ package stats
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"learnedftl/internal/nand"
 	"learnedftl/internal/obs"
@@ -161,7 +161,9 @@ func (s *StreamLat) Requests() int64 { return int64(len(s.lat)) }
 func (s *StreamLat) Mean() nand.Time { return mean(s.lat) }
 
 // Percentile returns the p-th percentile of the stream's total latencies.
-func (s *StreamLat) Percentile(p float64) nand.Time { return percentile(s.lat, p) }
+func (s *StreamLat) Percentile(p float64) nand.Time {
+	return percentiles(slices.Clone(s.lat), []float64{p})[0]
+}
 
 // MeanWait returns the stream's mean queue wait.
 func (s *StreamLat) MeanWait() nand.Time { return mean(s.wait) }
@@ -284,69 +286,25 @@ func (c *Collector) Reset() {
 
 // Percentile returns the p-th percentile (0 < p <= 100) of the merged
 // read+write latency population, or 0 if empty.
-func (c *Collector) Percentile(p float64) nand.Time {
+func (c *Collector) Percentile(p float64) nand.Time { return c.Percentiles(p)[0] }
+
+// Percentiles returns the ps-th percentiles of the merged read+write
+// latency population, in the order asked, from one copy of it.
+func (c *Collector) Percentiles(ps ...float64) []nand.Time {
 	all := make([]int64, 0, c.readLat.len()+c.writeLat.len())
 	all = c.readLat.appendTo(all)
 	all = c.writeLat.appendTo(all)
-	return percentileOwned(all, p)
+	return percentiles(all, ps)
 }
 
 // ReadPercentile returns the p-th percentile of read latencies.
 func (c *Collector) ReadPercentile(p float64) nand.Time {
-	return percentileOwned(c.readLat.appendTo(nil), p)
+	return percentiles(c.readLat.appendTo(nil), []float64{p})[0]
 }
 
 // WritePercentile returns the p-th percentile of write latencies.
 func (c *Collector) WritePercentile(p float64) nand.Time {
-	return percentileOwned(c.writeLat.appendTo(nil), p)
-}
-
-func percentile(v []int64, p float64) nand.Time {
-	s := make([]int64, len(v))
-	copy(s, v)
-	return percentileOwned(s, p)
-}
-
-// percentileOwned is percentile over a slice the caller lets us sort in
-// place (a fresh copy off a series arena).
-func percentileOwned(s []int64, p float64) nand.Time {
-	if len(s) == 0 {
-		return 0
-	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(p/100*float64(len(s))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return nand.Time(s[idx])
-}
-
-// ReadServicePercentile returns the p-th percentile of device-service time
-// (total latency minus queue wait) of host reads. For closed-loop runs —
-// no recorded waits — it equals ReadPercentile.
-func (c *Collector) ReadServicePercentile(p float64) nand.Time {
-	return percentileOwned(serviceLats(&c.readLat, &c.readWait), p)
-}
-
-// WriteServicePercentile is ReadServicePercentile for writes.
-func (c *Collector) WriteServicePercentile(p float64) nand.Time {
-	return percentileOwned(serviceLats(&c.writeLat, &c.writeWait), p)
-}
-
-// serviceLats subtracts index-paired queue waits from total latencies;
-// with no waits recorded the totals already are service times. Always a
-// fresh copy, so callers may sort it.
-func serviceLats(lat, wait *series) []int64 {
-	svc := lat.appendTo(make([]int64, 0, lat.len()))
-	for i := range svc {
-		if i < wait.len() {
-			svc[i] -= wait.at(i)
-		}
-	}
-	return svc
+	return percentiles(c.writeLat.appendTo(nil), []float64{p})[0]
 }
 
 // MeanLatency returns the average over the merged read+write latency
@@ -554,8 +512,6 @@ func BuildReport(name string, c *Collector, flash nand.OpCounters,
 		FTL:           name,
 		Makespan:      makespan,
 		MeanReadLat:   c.MeanReadLatency(),
-		P99:           c.Percentile(99),
-		P999:          c.Percentile(99.9),
 		Requests:      c.HostReads + c.HostWrites,
 		MeanLat:       c.MeanLatency(),
 		MeanWait:      c.MeanQueueWait(),
@@ -575,6 +531,8 @@ func BuildReport(name string, c *Collector, flash nand.OpCounters,
 		Flash:         flash,
 		EnergyMJ:      float64(flash.EnergyNJ(energy)) / 1e6,
 	}
+	tail := c.Percentiles(99, 99.9)
+	r.P99, r.P999 = tail[0], tail[1]
 	if makespan > 0 {
 		secs := float64(makespan) / float64(nand.Second)
 		r.ReadMBps = float64(c.HostReadPages) * float64(pageSize) / (1 << 20) / secs
@@ -582,12 +540,13 @@ func BuildReport(name string, c *Collector, flash nand.OpCounters,
 		r.IOPS = float64(r.Requests) / secs
 	}
 	for _, s := range c.Streams() {
+		tail := percentiles(slices.Clone(s.lat), []float64{99, 99.9})
 		r.Streams = append(r.Streams, StreamReport{
 			Name:      s.Name,
 			Requests:  s.Requests(),
 			MeanLat:   s.Mean(),
-			P99:       s.Percentile(99),
-			P999:      s.Percentile(99.9),
+			P99:       tail[0],
+			P999:      tail[1],
 			MeanWait:  s.MeanWait(),
 			WaitShare: s.WaitShare(),
 		})

@@ -47,6 +47,9 @@ func TestPercentileMergesReadsAndWrites(t *testing.T) {
 	if got := c.WritePercentile(100); got != 1000 {
 		t.Fatalf("write P100 = %d, want 1000", got)
 	}
+	if c.QueueWaitShare() != 0 || c.MeanQueueWait() != 0 {
+		t.Fatal("closed-loop collector reports nonzero queue wait")
+	}
 }
 
 // Property: the percentile function returns an element of the population and
@@ -196,12 +199,6 @@ func TestRecordQueuedDecomposition(t *testing.T) {
 	if got := c.ReadPercentile(100); got != 60 {
 		t.Fatalf("total read P100 = %d, want 60", got)
 	}
-	if got := c.ReadServicePercentile(100); got != 50 {
-		t.Fatalf("service read P100 = %d, want 50", got)
-	}
-	if got := c.WriteServicePercentile(100); got != 100 {
-		t.Fatalf("service write P100 = %d, want 100", got)
-	}
 	// Wait share: (30+0+10) / (40+100+60) = 0.2
 	if got := c.QueueWaitShare(); got != 0.2 {
 		t.Fatalf("wait share = %v, want 0.2", got)
@@ -229,19 +226,6 @@ func TestRecordQueuedDecomposition(t *testing.T) {
 	}
 	if b.WaitShare() != 0 {
 		t.Fatalf("tenant b wait share = %v, want 0", b.WaitShare())
-	}
-}
-
-func TestServicePercentileClosedLoopFallback(t *testing.T) {
-	// With no recorded waits (closed-loop run), service == latency.
-	c := NewCollector()
-	c.RecordRead(40, 1)
-	c.RecordRead(80, 1)
-	if c.ReadServicePercentile(100) != c.ReadPercentile(100) {
-		t.Fatal("service percentile should equal latency percentile without waits")
-	}
-	if c.QueueWaitShare() != 0 || c.MeanQueueWait() != 0 {
-		t.Fatal("closed-loop collector reports nonzero queue wait")
 	}
 }
 
